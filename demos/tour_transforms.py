@@ -57,12 +57,13 @@ print("tail bound at this level:", tail_bound(omega, r, level))
 
 # The Poisson kernel is the Cauchy expansion against the square root
 # of the defect; for a family with positive defect it is an isometry
-# up to the tail.
+# up to the tail.  One kernel holds the whole state at this radius
+# (defect, its square root, adjoint orbit) and feeds every check below.
 k = poisson_kernel(f, r, level)
 gram = k.matrix.conj().T @ k.matrix
 print("\n||K*K - I|| =", float(np.linalg.norm(gram - np.eye(f.dim), 2)))
 
-rep = unit_resolution_check(f, r, level)
+rep = unit_resolution_check(k)
 print("unit resolution residual:", rep.residual,
       "| allowance:", rep.parameters["allowance"],
       "| increments monotone:", rep.parameters["monotone"])
@@ -71,13 +72,13 @@ print("unit resolution residual:", rep.residual,
 # corresponding operator word, weighted by r.
 p = normal_form(g, [1, 2])
 q = generator(g, 4)
-rep = poisson_reproduce_check(f, r, level, p, q)
+rep = poisson_reproduce_check(k, p, q)
 print(f"\nreproduce {p} x {q}: residual {rep.residual:.2e}")
 
 worst = 0.0
 for p in ball(g, 2):
     for q in ball(g, 2):
-        worst = max(worst, poisson_reproduce_check(f, r, level, p, q).residual)
+        worst = max(worst, poisson_reproduce_check(k, p, q).residual)
 print("worst over all norm-2 pairs:", f"{worst:.2e}")
 
 # One-sided norm certificates: the truncated word-operator norm only

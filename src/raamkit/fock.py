@@ -30,6 +30,7 @@ import numpy as np
 from .errors import (
     GraphMismatch,
     GuardExceeded,
+    LevelTooLarge,
     NotPropertyP,
     ValidationError,
 )
@@ -78,7 +79,7 @@ def build_fock(g: Graph, level: int, guard: int = DEFAULT_BALL_GUARD) -> Truncat
         raise ValidationError(f"truncation level must be >= 0, got {level}")
     try:
         elems = tuple(ball(g, level, guard))
-    except Exception as exc:  # LevelTooLarge carries the right message
+    except LevelTooLarge as exc:
         raise GuardExceeded(str(exc)) from exc
     return TruncatedFock(
         graph=g,
@@ -209,11 +210,12 @@ def truncated_shift_family(
 def _adjoint_orbit(
     f: GammaFamily, basis: Sequence[MonoidElement], seed: np.ndarray
 ) -> list[np.ndarray]:
-    """[T_q* s for q in basis] by peeling the last letter of each word.
+    """[T_q* seed for q in basis] by peeling the last letter of each word.
 
     basis must be closed under prefixes and ordered by norm (as the
     fock basis is); then the parent of q (q minus its last letter) is
-    already computed and T_q* s = T_i* (T_parent* s).
+    already computed and T_q* s = T_i* (T_parent* s).  The seed is a
+    vector for the Cauchy expansion and the identity for the kernel.
     """
     out: list[np.ndarray] = [None] * len(basis)
     pos = {q: i for i, q in enumerate(basis)}
@@ -281,30 +283,23 @@ def tail_bound(omega: int, r: float, level: int) -> float:
 
 @dataclass(eq=False)
 class PoissonKernelMatrix:
-    """Stacked kernel blocks r^|p| Delta^{1/2} T_p*, one per basis word."""
+    """The Poisson state of a family at one radius and truncation level.
 
-    matrix: np.ndarray  # (fock_dim * d, d)
+    Built once by poisson_kernel and read by every transform check:
+    the symmetrised defect Delta, its square root, the truncated basis
+    with its index, the adjoint orbit [T_q* for q in basis] and the
+    stacked kernel blocks r^|q| Delta^{1/2} T_q*.
+    """
+
+    family: GammaFamily
     r: float
     level: int
-
-
-def _delta_sqrt(f: GammaFamily, r: float, tol: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """(Delta, Delta^{1/2}); raises NotPropertyP on a real negative eigenvalue.
-
-    Eigenvalues in [-tol, 0) are rounding debris and clamp to zero.
-    """
-    delta = delta_operator(f, r)
-    herm = (delta + delta.conj().T) / 2.0
-    if tol is None:
-        tol = default_psd_tol(herm)
-    lam, vecs = np.linalg.eigh(herm)
-    if lam[0] < -tol:
-        raise NotPropertyP(
-            f"defect at r={r} has eigenvalue {lam[0]:.3e} < -{tol:.3e}"
-        )
-    lam = np.clip(lam, 0.0, None)
-    root = (vecs * np.sqrt(lam)) @ vecs.conj().T
-    return herm, root
+    delta: np.ndarray  # (d, d), Hermitian
+    root: np.ndarray  # (d, d)
+    basis: tuple[MonoidElement, ...]
+    index: dict[MonoidElement, int]
+    adjoint: list[np.ndarray]  # fock_dim matrices (d, d)
+    matrix: np.ndarray  # (fock_dim * d, d)
 
 
 def default_truncation(
@@ -325,7 +320,7 @@ def default_truncation(
     while dnorm * tail_bound(omega, r, level) >= tol and level < hard_cap:
         try:
             ball(f.graph, level + 1, guard)
-        except Exception:
+        except LevelTooLarge:
             break
         level += 1
     return level
@@ -338,48 +333,48 @@ def poisson_kernel(
     tol: float | None = None,
     guard: int = DEFAULT_BALL_GUARD,
 ) -> PoissonKernelMatrix:
-    """K = (I (x) Delta^{1/2}) C_{r,T} as a concrete tall matrix.
+    """K = (I (x) Delta^{1/2}) C_{r,T} with the state it is built from.
 
     Requires the defect to be positive at r (property P at this
-    radius); the square root is taken through the Hermitian
-    eigendecomposition with negative rounding debris clamped.
+    radius) and raises NotPropertyP on an eigenvalue below -tol; the
+    square root is taken through the Hermitian eigendecomposition with
+    eigenvalues in [-tol, 0), rounding debris, clamped to zero.
     """
     if not (0.0 <= r < 1.0):
         raise ValidationError(f"r must lie in [0, 1), got {r}")
     if level is None:
         level = default_truncation(f, r, guard=guard)
-    _, root = _delta_sqrt(f, r, tol)
-    basis = ball(f.graph, level, guard)
-    adj = _adjoint_orbit_matrices(f, basis)
+    delta = delta_operator(f, r)
+    herm = (delta + delta.conj().T) / 2.0
+    if tol is None:
+        tol = default_psd_tol(herm)
+    lam, vecs = np.linalg.eigh(herm)
+    if lam[0] < -tol:
+        raise NotPropertyP(
+            f"defect at r={r} has eigenvalue {lam[0]:.3e} < -{tol:.3e}"
+        )
+    lam = np.clip(lam, 0.0, None)
+    root = (vecs * np.sqrt(lam)) @ vecs.conj().T
+    fk = build_fock(f.graph, level, guard)
+    adj = _adjoint_orbit(f, fk.basis, np.eye(f.dim, dtype=np.complex128))
     k = np.vstack(
-        [(r ** q.norm) * (root @ adj[i]) for i, q in enumerate(basis)]
+        [(r ** q.norm) * (root @ adj[i]) for i, q in enumerate(fk.basis)]
     )
-    return PoissonKernelMatrix(matrix=k, r=r, level=level)
-
-
-def _adjoint_orbit_matrices(
-    f: GammaFamily, basis: Sequence[MonoidElement]
-) -> list[np.ndarray]:
-    """[T_q* as d x d matrices], same prefix recursion as the vectors."""
-    out: list[np.ndarray] = [None] * len(basis)
-    pos = {q: i for i, q in enumerate(basis)}
-    for i, q in enumerate(basis):
-        if q.is_identity:
-            out[i] = np.eye(f.dim, dtype=np.complex128)
-            continue
-        v, a = q.syllables[-1]
-        parent_syll = q.syllables[:-1] + (((v, a - 1),) if a > 1 else ())
-        parent = MonoidElement(q.graph, parent_syll)
-        out[i] = f.matrix(v).conj().T @ out[pos[parent]]
-    return out
+    return PoissonKernelMatrix(
+        family=f,
+        r=r,
+        level=level,
+        delta=herm,
+        root=root,
+        basis=fk.basis,
+        index=fk.index,
+        adjoint=adj,
+        matrix=k,
+    )
 
 
 def unit_resolution_check(
-    f: GammaFamily,
-    r: float,
-    level: int | None = None,
-    tol: float = 1e-10,
-    guard: int = DEFAULT_BALL_GUARD,
+    kern: PoissonKernelMatrix, tol: float = 1e-10
 ) -> CheckReport:
     """Partial sums of sum_p r^{2|p|} T_p Delta T_p* against I.
 
@@ -388,19 +383,14 @@ def unit_resolution_check(
     tail of the identity, and the level increments must be positive
     (each added term is a congruence of Delta).
     """
-    if not (0.0 <= r < 1.0):
-        raise ValidationError(f"r must lie in [0, 1), got {r}")
-    if level is None:
-        level = default_truncation(f, r, guard=guard)
-    delta, _ = _delta_sqrt(f, r, None)
-    basis = ball(f.graph, level, guard)
-    adj = _adjoint_orbit_matrices(f, basis)
+    f, r, level = kern.family, kern.r, kern.level
+    delta, adj = kern.delta, kern.adjoint
     d = f.dim
     acc = np.zeros((d, d), dtype=np.complex128)
     monotone = True
     psd_tol = default_psd_tol(delta)
     by_level: dict[int, np.ndarray] = {}
-    for i, q in enumerate(basis):
+    for i, q in enumerate(kern.basis):
         inc = (r ** (2 * q.norm)) * (adj[i].conj().T @ delta @ adj[i])
         by_level.setdefault(q.norm, np.zeros((d, d), dtype=np.complex128))
         by_level[q.norm] += inc
@@ -428,13 +418,10 @@ def unit_resolution_check(
 
 
 def poisson_reproduce_check(
-    f: GammaFamily,
-    r: float,
-    level: int,
+    kern: PoissonKernelMatrix,
     p: MonoidElement,
     q: MonoidElement,
     tol: float = 1e-10,
-    guard: int = DEFAULT_BALL_GUARD,
 ) -> CheckReport:
     """K* (lambda_p lambda_q* (x) I) K against r^{|p|+|q|} T_p T_q*.
 
@@ -444,23 +431,21 @@ def poisson_reproduce_check(
     level - max(|p|, |q|), which bounds the missing part of the unit
     resolution rigorously for families passing the clique condition.
     """
+    f, r, level = kern.family, kern.r, kern.level
     if p.graph != f.graph or q.graph != f.graph:
         raise GraphMismatch("elements and family graphs differ")
     if max(p.norm, q.norm) > level:
         raise ValidationError("need |p|, |q| <= truncation level")
-    delta, _ = _delta_sqrt(f, r, None)
-    basis = ball(f.graph, level, guard)
-    adj = _adjoint_orbit_matrices(f, basis)
-    pos = {s: i for i, s in enumerate(basis)}
+    delta, adj = kern.delta, kern.adjoint
     d = f.dim
     acc = np.zeros((d, d), dtype=np.complex128)
-    for i, s in enumerate(basis):
+    for i, s in enumerate(kern.basis):
         if not left_divides(q, s):
             continue
         t = multiply(p, left_quotient(q, s))
         if t.norm > level:
             continue
-        ti = pos[t]
+        ti = kern.index[t]
         acc += (r ** (t.norm + s.norm)) * (
             adj[ti].conj().T @ delta @ adj[i]
         )
@@ -486,29 +471,17 @@ def poisson_reproduce_check(
     )
 
 
-def poisson_compress(
-    f: GammaFamily,
-    r: float,
-    level: int,
-    a: np.ndarray,
-    tol: float | None = None,
-    guard: int = DEFAULT_BALL_GUARD,
-) -> np.ndarray:
+def poisson_compress(kern: PoissonKernelMatrix, a: np.ndarray) -> np.ndarray:
     """K* (a (x) I) K for an arbitrary matrix a on the truncated basis.
 
     Complete positivity in action: a PSD argument compresses to a PSD
     result since this is X -> K* X K on a corner.
     """
-    basis = ball(f.graph, level, guard)
-    n, d = len(basis), f.dim
+    n, d = len(kern.basis), kern.family.dim
     arr = np.asarray(a, dtype=np.complex128)
     if arr.shape != (n, n):
         raise ValidationError(f"argument must be {n} x {n} on this basis")
-    _, root = _delta_sqrt(f, r, tol)
-    adj = _adjoint_orbit_matrices(f, basis)
-    blocks = np.stack(
-        [(r ** q.norm) * (root @ adj[i]) for i, q in enumerate(basis)]
-    )
+    blocks = kern.matrix.reshape(n, d, d)
     mixed = np.tensordot(arr, blocks, axes=([1], [0]))  # (n, d, d)
     return np.einsum("tji,tjk->ik", blocks.conj(), mixed)
 

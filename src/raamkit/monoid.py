@@ -32,7 +32,7 @@ from .errors import (
     OracleAmbiguous,
     ParseError,
 )
-from .graphs import Graph, neighbor_sets
+from .graphs import Graph, enumerate_cliques, neighbor_sets
 
 DEFAULT_BALL_GUARD = 200_000
 
@@ -305,19 +305,25 @@ def _levels(g: Graph, m: int, guard: int) -> tuple[MonoidElement, ...]:
     if m == 0:
         return (identity(g),)
     prev = _levels(g, m - 1, guard)
-    below = sum(len(_levels(g, j, guard)) for j in range(m))
+    sizes = [len(_levels(g, j, guard)) for j in range(m)]
+    # Cartier-Foata: the growth series is 1 / sum_C (-t)^|C| over cliques
+    # C, so level m is sized from the lower levels before it is built.
+    size = sum(
+        (-1) ** (len(c) + 1) * sizes[m - len(c)]
+        for c in enumerate_cliques(g)
+        if 0 < len(c) <= m
+    )
+    if sum(sizes) + size > guard:
+        raise LevelTooLarge(
+            f"ball through norm {m} holds more than {guard} elements"
+        )
     found: dict[tuple, MonoidElement] = {}
     for x in prev:
         base = x.letters()
         for i in g.vertices():
             y = normal_form(g, base + (i,))
             found.setdefault(y.syllables, y)
-    level = sorted(found.values(), key=lambda e: e.letters())
-    if below + len(level) > guard:
-        raise LevelTooLarge(
-            f"ball through norm {m} holds more than {guard} elements"
-        )
-    return tuple(level)
+    return tuple(sorted(found.values(), key=lambda e: e.letters()))
 
 
 def enumerate_norm_level(

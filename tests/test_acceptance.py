@@ -183,12 +183,12 @@ def test_06_cauchy_transform_norm_bound():
 
 def test_07_unit_resolution():
     f = truncated_shift_family(toy(), 3, scale=0.9)
-    rep_shift = unit_resolution_check(f, 0.9, level=5)
+    rep_shift = unit_resolution_check(poisson_kernel(f, 0.9, level=5))
     ok = rep_shift.passed and rep_shift.residual <= 1e-10
     ok = ok and rep_shift.parameters["monotone"] is True
 
     scalar = scalar_family(complete_graph(2), [0.8, 0.8])
-    rep_scalar = unit_resolution_check(scalar, 0.9, level=30)
+    rep_scalar = unit_resolution_check(poisson_kernel(scalar, 0.9, level=30))
     ok = ok and rep_scalar.passed
     ok = ok and rep_scalar.residual <= rep_scalar.parameters["allowance"]
     ok = ok and rep_scalar.parameters["monotone"] is True
@@ -206,7 +206,7 @@ def test_08_poisson_kernel_isometry_and_reproduction():
     worst = 0.0
     for p in ball(g, 2):
         for q in ball(g, 2):
-            rep = poisson_reproduce_check(f, r, level, p, q)
+            rep = poisson_reproduce_check(k, p, q)
             worst = max(worst, rep.residual)
             ok = ok and rep.passed
     ok = ok and worst <= 1e-10
@@ -214,7 +214,7 @@ def test_08_poisson_kernel_isometry_and_reproduction():
     scalar = scalar_family(complete_graph(2), [0.8, 0.6])
     sp = normal_form(scalar.graph, [1, 2])
     sq = normal_form(scalar.graph, [2])
-    srep = poisson_reproduce_check(scalar, 0.9, 25, sp, sq)
+    srep = poisson_reproduce_check(poisson_kernel(scalar, 0.9, 25), sp, sq)
     ok = ok and srep.passed
     report(8, "Poisson kernel is isometric and reproduces T_p T_q*", ok,
            f"gram {gram_resid:.1e}, worst pair {worst:.1e}")

@@ -113,6 +113,44 @@ def write_problem(tmp_path, doc, name="problem.json"):
     return str(path)
 
 
+def test_main_poisson_reports_refuted_radius(tmp_path, capsys):
+    # one vertex, T = 1.2: the defect 1 - 1.44 r^2 is positive at r = 0.5
+    # and negative at r = 0.9, where the kernel check fails with a reason
+    doc = {
+        "graph": {"n": 1, "edges": []},
+        "family": {"dim": 1, "matrices": [{"re": [[1.2]]}]},
+        "options": {"truncation": 24, "r_grid": [0.5, 0.9]},
+    }
+    src = write_problem(tmp_path, doc)
+    out = tmp_path / "rep.json"
+    assert main(["poisson", "--input", src, "--out", str(out)]) == 1
+    reports = json.loads(out.read_text())["reports"]
+    at_half = [rep for rep in reports if rep["parameters"].get("r") == 0.5]
+    assert [rep["name"] for rep in at_half] == [
+        "kernel_isometry",
+        "unit_resolution",
+        "poisson_reproduce",
+    ]
+    assert all(rep["passed"] for rep in at_half)
+    refuted = [rep for rep in reports if rep["parameters"].get("r") == 0.9]
+    assert len(refuted) == 1
+    assert refuted[0]["name"] == "kernel_isometry"
+    assert not refuted[0]["passed"]
+    assert "eigenvalue" in refuted[0]["parameters"]["reason"]
+
+    # two free unit scalars refute P at r = 0.9 as well: a report, not bad input
+    doc = {
+        "graph": {"n": 2, "edges": []},
+        "family": {"dim": 1, "matrices": [{"re": [[1.0]]}, {"re": [[1.0]]}]},
+        "options": {"r_grid": [0.5, 0.9]},
+    }
+    src = write_problem(tmp_path, doc, "free.json")
+    out = tmp_path / "free-rep.json"
+    assert main(["poisson", "--input", src, "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["summary"]["exit_code"] == 1
+    capsys.readouterr()
+
+
 def test_main_fixture_suite_and_determinism(tmp_path, capsys):
     src = write_problem(
         tmp_path, {"graph": TOY, "options": {"truncation": 2, "r_grid": [0.5, 0.9]}}

@@ -242,7 +242,7 @@ def test_poisson_kernel_isometry(toy_graph):
 
 def test_unit_resolution_shifts_exact(toy_graph):
     f = truncated_shift_family(toy_graph, 2, scale=0.9)
-    rep = unit_resolution_check(f, 0.9, level=4)
+    rep = unit_resolution_check(poisson_kernel(f, 0.9, level=4))
     assert rep.passed
     assert rep.residual <= 1e-10
     assert rep.parameters["monotone"] is True
@@ -251,7 +251,7 @@ def test_unit_resolution_shifts_exact(toy_graph):
 def test_unit_resolution_scalar_tail(complete3_graph):
     # commuting scalars: partial sums approach 1 at the clique-tail rate
     f = scalar_family(complete3_graph, [0.8, 0.5, 0.3])
-    rep = unit_resolution_check(f, 0.9, level=25)
+    rep = unit_resolution_check(poisson_kernel(f, 0.9, level=25))
     assert rep.passed
     assert rep.residual <= rep.parameters["allowance"]
 
@@ -264,7 +264,7 @@ def test_unit_resolution_zero_family_exact(toy_graph):
     d = 3
     zeros = tuple(np.zeros((d, d)) for _ in toy_graph.vertices())
     f = GammaFamily(toy_graph, d, zeros)
-    rep = unit_resolution_check(f, 0.9, level=3)
+    rep = unit_resolution_check(poisson_kernel(f, 0.9, level=3))
     assert rep.passed
     assert rep.residual == 0.0
 
@@ -272,16 +272,17 @@ def test_unit_resolution_zero_family_exact(toy_graph):
 def test_unit_resolution_needs_psd_defect(empty2_graph):
     f = scalar_family(empty2_graph, [1.0, 1.0])
     with pytest.raises(NotPropertyP):
-        unit_resolution_check(f, 0.9, level=5)
+        poisson_kernel(f, 0.9, level=5)
 
 
 def test_poisson_reproduce_shifts(toy_graph):
     f = truncated_shift_family(toy_graph, 2, scale=0.9)
+    kern = poisson_kernel(f, 0.9, 4)
     words = ball(toy_graph, 2)
     worst = 0.0
     for p in words:
         for q in words:
-            rep = poisson_reproduce_check(f, 0.9, 4, p, q)
+            rep = poisson_reproduce_check(kern, p, q)
             assert rep.passed
             worst = max(worst, rep.residual)
     assert worst <= 1e-10
@@ -291,7 +292,7 @@ def test_poisson_reproduce_single_letters(toy_graph):
     f = truncated_shift_family(toy_graph, 2, scale=0.9)
     p = generator(toy_graph, 1)
     q = generator(toy_graph, 2)
-    rep = poisson_reproduce_check(f, 0.7, 4, p, q)
+    rep = poisson_reproduce_check(poisson_kernel(f, 0.7, 4), p, q)
     assert rep.passed
     assert rep.residual <= 1e-10
 
@@ -300,8 +301,29 @@ def test_poisson_reproduce_scalar(complete3_graph):
     f = scalar_family(complete3_graph, [0.7, 0.6, 0.5])
     p = normal_form(complete3_graph, [1, 2])
     q = normal_form(complete3_graph, [3])
-    rep = poisson_reproduce_check(f, 0.85, 25, p, q)
+    rep = poisson_reproduce_check(poisson_kernel(f, 0.85, 25), p, q)
     assert rep.passed
+
+
+def test_poisson_reproduce_matches_dense_compression(toy_graph, rng):
+    # the blockwise collapse against the dense route through the kernel;
+    # a random family leaves truncation residuals well above rounding
+    f = random_toy_family(toy_graph, rng, scale=0.5)
+    r, level = 0.7, 3
+    kern = poisson_kernel(f, r, level)
+    fk = build_fock(toy_graph, level)
+    words = ball(toy_graph, 2)
+    lam = {p: lambda_compressed(fk, p) for p in words}
+    worst = 0.0
+    for p in words:
+        tp = evaluate_word(f, p)
+        for q in words:
+            rep = poisson_reproduce_check(kern, p, q)
+            dense = poisson_compress(kern, lam[p] @ lam[q].conj().T)
+            target = r ** (p.norm + q.norm) * (tp @ evaluate_word(f, q).conj().T)
+            assert rep.residual == pytest.approx(opnorm(dense - target), abs=1e-12)
+            worst = max(worst, rep.residual)
+    assert worst > 1e-6
 
 
 def test_poisson_compress_matches_kron(toy_graph, rng):
@@ -310,7 +332,7 @@ def test_poisson_compress_matches_kron(toy_graph, rng):
     fk = build_fock(toy_graph, level)
     k = poisson_kernel(f, r, level)
     a = rng.normal(size=(fk.dim, fk.dim)) + 1j * rng.normal(size=(fk.dim, fk.dim))
-    got = poisson_compress(f, r, level, a)
+    got = poisson_compress(k, a)
     want = k.matrix.conj().T @ np.kron(a, np.eye(f.dim)) @ k.matrix
     assert np.allclose(got, want, atol=1e-11)
 
@@ -321,7 +343,7 @@ def test_poisson_compress_positive(toy_graph, rng):
     fk = build_fock(toy_graph, 3)
     b = rng.normal(size=(fk.dim, fk.dim)) + 1j * rng.normal(size=(fk.dim, fk.dim))
     a = b @ b.conj().T
-    out = poisson_compress(f, 0.7, 3, a)
+    out = poisson_compress(poisson_kernel(f, 0.7, 3), a)
     assert np.linalg.eigvalsh((out + out.conj().T) / 2).min() >= -1e-10
 
 

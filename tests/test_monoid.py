@@ -258,6 +258,26 @@ def test_ball_ordering_and_guard(toy_graph):
         ball(toy_graph, 3, guard=10)
 
 
+def test_ball_guard_fires_before_enumeration(toy_graph, monkeypatch):
+    # the guard is exactly the ball through norm 5, so norm 6 must be
+    # refused from the level sizes alone, before any word is normalised
+    import raamkit.monoid as monoid
+
+    guard = sum(clique_series_counts(toy_graph, 5))
+    assert len(ball(toy_graph, 5, guard=guard)) == guard
+    calls = []
+    real = monoid.normal_form
+
+    def counting(g, word):
+        calls.append(word)
+        return real(g, word)
+
+    monkeypatch.setattr(monoid, "normal_form", counting)
+    with pytest.raises(LevelTooLarge):
+        ball(toy_graph, 6, guard=guard)
+    assert calls == []
+
+
 def test_lcm_oracle_agreement_small(toy_graph):
     elems = ball(toy_graph, 2)
     for p in elems:
