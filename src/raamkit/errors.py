@@ -37,14 +37,6 @@ class GuardExceeded(RaamkitError):
     """A combinatorial search would exceed its work guard."""
 
 
-class OracleAmbiguous(RaamkitError):
-    """The enumeration oracle found no unique minimal common multiple.
-
-    This cannot happen in a right-LCM monoid; if raised, the word
-    algebra itself is broken, so the oracle refuses to guess.
-    """
-
-
 class DimensionMismatch(RaamkitError):
     """Matrix shapes are inconsistent with the declared dimension."""
 

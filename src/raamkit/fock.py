@@ -45,6 +45,7 @@ from .monoid import (
     lcm,
     left_divides,
     left_quotient,
+    level_sizes,
     multiply,
 )
 from .operators import (
@@ -219,6 +220,7 @@ def _adjoint_orbit(
     """
     out: list[np.ndarray] = [None] * len(basis)
     pos = {q: i for i, q in enumerate(basis)}
+    adjoints = {v: f.matrix(v).conj().T for v in f.graph.vertices()}
     for i, q in enumerate(basis):
         if q.is_identity:
             out[i] = seed
@@ -226,7 +228,7 @@ def _adjoint_orbit(
         v, a = q.syllables[-1]
         parent_syll = q.syllables[:-1] + (((v, a - 1),) if a > 1 else ())
         parent = MonoidElement(q.graph, parent_syll)
-        out[i] = f.matrix(v).conj().T @ out[pos[parent]]
+        out[i] = adjoints[v] @ out[pos[parent]]
     return out
 
 
@@ -316,11 +318,10 @@ def default_truncation(
     """
     omega = clique_number(f.graph)
     dnorm = opnorm(delta_operator(f, r))
+    sizes = level_sizes(f.graph, hard_cap)
     level = 1
     while dnorm * tail_bound(omega, r, level) >= tol and level < hard_cap:
-        try:
-            ball(f.graph, level + 1, guard)
-        except LevelTooLarge:
+        if sum(sizes[: level + 2]) > guard:
             break
         level += 1
     return level

@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import BadVertex, NotAClique, ValidationError
 
@@ -60,13 +61,16 @@ class Graph:
 
 
 @lru_cache(maxsize=None)
-def neighbor_sets(g: Graph) -> dict[int, frozenset[int]]:
-    """Adjacency map vertex -> frozenset of neighbours."""
+def neighbor_sets(g: Graph) -> Mapping[int, frozenset[int]]:
+    """Read-only adjacency map vertex -> frozenset of neighbours.
+
+    Cached per graph, so every caller shares one mapping.
+    """
     nbrs: dict[int, set[int]] = {v: set() for v in g.vertices()}
     for i, j in g.edges:
         nbrs[i].add(j)
         nbrs[j].add(i)
-    return {v: frozenset(s) for v, s in nbrs.items()}
+    return MappingProxyType({v: frozenset(s) for v, s in nbrs.items()})
 
 
 def complement(g: Graph) -> Graph:

@@ -13,11 +13,28 @@ drive the rest of the package:
 
 Norm |x| counts letters, length counts syllables (maximal blocks of a
 single generator).  Norms add under multiplication.
+
+The word operations run on plain letter lists:
+
+  * normal_form pops the lexicographically least linear extension of
+    the word's heap of pieces (Viennot) off a min-heap: each letter
+    occurrence waits for the last earlier occurrence of every letter
+    it does not commute with, its own letter included;
+  * left_divides, left_quotient and lcm peel the letters of one word
+    off a list copy of the other, deleting the first occurrence of a
+    letter when only its neighbours precede it, and normalise once at
+    the end (left_divides not at all);
+  * balls grow through the forbidden-letter automaton of normal forms
+    (Anisimov-Knuth): its state is the set F of letters that may not
+    come next, and letter a moves it to adj(a) & ({b < a} | F), so
+    every normal word of norm m is a normal word of norm m - 1 plus
+    one allowed letter, and no word is normalised or deduplicated.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -29,7 +46,6 @@ from .errors import (
     GraphMismatch,
     LevelTooLarge,
     NotDivisible,
-    OracleAmbiguous,
     ParseError,
 )
 from .graphs import Graph, enumerate_cliques, neighbor_sets
@@ -140,37 +156,40 @@ def _group(word: Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _lex_least_word(adj: dict[int, frozenset[int]], word: Sequence[int]) -> list[int]:
-    """Lexicographically least word in the shuffle class.
-
-    Greedy: the least letter whose first occurrence is preceded only
-    by neighbours can be shuffled to the front; emit it and repeat.
-    The first letter is always available, so the loop cannot stall.
-    """
-    rem = list(word)
-    out: list[int] = []
-    while rem:
-        seen: set[int] = set()
-        best = None
-        for v in rem:
-            if v in seen:
-                continue
-            if all(u in adj[v] for u in seen):
-                if best is None or v < best:
-                    best = v
-            seen.add(v)
-        rem.remove(best)
-        out.append(best)
-    return out
-
-
 def normal_form(g: Graph, word: Iterable[int]) -> MonoidElement:
-    """Element represented by a generator word (vertex indices)."""
+    """Element represented by a generator word (vertex indices).
+
+    The lexicographically least spelling is the least linear extension
+    of the word's heap: an occurrence becomes ready once the last
+    earlier occurrence of each letter it does not commute with has been
+    emitted, and the least ready letter is emitted next.
+    """
     letters = list(word)
     for v in letters:
         if not isinstance(v, int) or not (1 <= v <= g.n):
             raise BadVertex(f"vertex {v!r} outside 1..{g.n}")
-    return MonoidElement(g, _group(_lex_least_word(neighbor_sets(g), letters)))
+    adj = neighbor_sets(g)
+    last: dict[int, int] = {}
+    after: list[list[int]] = [[] for _ in letters]
+    waits = [0] * len(letters)
+    for k, v in enumerate(letters):
+        nbrs = adj[v]
+        for u, j in last.items():
+            if u not in nbrs:
+                after[j].append(k)
+                waits[k] += 1
+        last[v] = k
+    ready = [(v, k) for k, v in enumerate(letters) if not waits[k]]
+    heapq.heapify(ready)
+    out: list[int] = []
+    while ready:
+        v, k = heapq.heappop(ready)
+        out.append(v)
+        for j in after[k]:
+            waits[j] -= 1
+            if not waits[j]:
+                heapq.heappush(ready, (letters[j], j))
+    return MonoidElement(g, _group(out))
 
 
 def _same_graph(x: MonoidElement, y: MonoidElement) -> Graph:
@@ -218,74 +237,66 @@ def final_vertices(x: MonoidElement) -> frozenset[int]:
     return boundary_vertices(x, Side.FINAL)
 
 
-def _strip_initial(x: MonoidElement, i: int) -> MonoidElement:
-    """Remove one e_i from the front; i must be an initial vertex."""
-    word = list(x.letters())
-    word.remove(i)
-    return normal_form(x.graph, word)
+def _peel(word: list[int], i: int, nbrs: frozenset[int]) -> int:
+    """Where e_i can be taken off the front of a letter list.
+
+    The index of the first i when only neighbours of i precede it;
+    len(word) when word has no i and every letter commutes with i;
+    -1 when a letter that does not commute with i comes first.
+    """
+    k = word.index(i) if i in word else len(word)
+    return k if nbrs.issuperset(word[:k]) else -1
+
+
+def _remainder(x: MonoidElement, z: MonoidElement) -> list[int] | None:
+    """A spelling of y with z = x * y, or None when x does not left-divide z.
+
+    Peels the letters of x, in order, off a copy of z's letters.
+    """
+    adj = neighbor_sets(_same_graph(x, z))
+    if x.norm > z.norm:
+        return None
+    rest = list(z.letters())
+    for i in x.letters():
+        k = _peel(rest, i, adj[i])
+        if not 0 <= k < len(rest):
+            return None
+        del rest[k]
+    return rest
 
 
 def left_divides(x: MonoidElement, z: MonoidElement) -> bool:
-    """Whether z = x * y for some y.
-
-    Peels the first letter of x: it must be shufflable to the front of
-    z, and then the quotients must again divide.
-    """
-    _same_graph(x, z)
-    while not x.is_identity:
-        if x.norm > z.norm:
-            return False
-        i = x.syllables[0][0]
-        if i not in initial_vertices(z):
-            return False
-        x = _strip_initial(x, i)
-        z = _strip_initial(z, i)
-    return True
+    """Whether z = x * y for some y."""
+    return _remainder(x, z) is not None
 
 
 def left_quotient(x: MonoidElement, z: MonoidElement) -> MonoidElement:
     """The unique y with z = x * y; raises NotDivisible otherwise."""
-    _same_graph(x, z)
-    orig_x, orig_z = x, z
-    while not x.is_identity:
-        i = x.syllables[0][0]
-        if x.norm > z.norm or i not in initial_vertices(z):
-            raise NotDivisible(f"{orig_x!r} does not left-divide {orig_z!r}")
-        x = _strip_initial(x, i)
-        z = _strip_initial(z, i)
-    return z
+    rest = _remainder(x, z)
+    if rest is None:
+        raise NotDivisible(f"{x!r} does not left-divide {z!r}")
+    return normal_form(z.graph, rest)
 
 
 def lcm(p: MonoidElement, q: MonoidElement) -> JoinResult:
     """Least common multiple of p and q, or INFINITY.
 
-    Peel the first generator e_i of p.  Any common multiple starts
-    with e_i, so either e_i also starts q (strip it from both) or e_i
-    has to commute past all of q (strip it from p alone).  If neither
-    holds the right ideals cannot meet.  Each step moves one letter to
-    the output, so the result never exceeds |p| + |q| letters.
+    Peel the letters e_i of p in order.  Any common multiple starts
+    with e_i, so either e_i also starts what is left of q (strip it
+    there) or e_i has to commute past all of it (leave it).  If neither
+    holds the right ideals cannot meet.  The join is p times what is
+    left of q, so it never exceeds |p| + |q| letters.
     """
     g = _same_graph(p, q)
     adj = neighbor_sets(g)
-    prefix: list[int] = []
-    while True:
-        if p.is_identity:
-            tail = q
-            break
-        if q.is_identity:
-            tail = p
-            break
-        i = p.syllables[0][0]
-        if i in initial_vertices(q):
-            prefix.append(i)
-            p = _strip_initial(p, i)
-            q = _strip_initial(q, i)
-        elif all(v in adj[i] for v in q.vertex_support()):
-            prefix.append(i)
-            p = _strip_initial(p, i)
-        else:
+    rest = list(q.letters())
+    for i in p.letters():
+        k = _peel(rest, i, adj[i])
+        if k < 0:
             return INFINITY
-    return normal_form(g, prefix + list(tail.letters()))
+        if k < len(rest):
+            del rest[k]
+    return normal_form(g, list(p.letters()) + rest)
 
 
 def join_set(elems: Sequence[MonoidElement]) -> JoinResult:
@@ -300,30 +311,61 @@ def join_set(elems: Sequence[MonoidElement]) -> JoinResult:
     return acc
 
 
+def level_sizes(g: Graph, max_norm: int) -> list[int]:
+    """Number of elements of each norm 0..max_norm, without enumerating.
+
+    Cartier-Foata: the growth series is 1 / sum_C (-t)^|C| over cliques
+    C, so a_m = sum_{C != {}} (-1)^{|C|+1} a_{m-|C|}.
+    """
+    by_size = Counter(len(c) for c in enumerate_cliques(g) if c)
+    sizes = [1]
+    for m in range(1, max_norm + 1):
+        sizes.append(
+            sum(
+                (-1) ** (k + 1) * count * sizes[m - k]
+                for k, count in by_size.items()
+                if k <= m
+            )
+        )
+    return sizes
+
+
 @lru_cache(maxsize=None)
-def _levels(g: Graph, m: int, guard: int) -> tuple[MonoidElement, ...]:
+def _levels(
+    g: Graph, m: int, guard: int
+) -> tuple[tuple[tuple[MonoidElement, ...], tuple[int, ...]], ...]:
+    """Levels 0..m of the ball, each as (elements, automaton states).
+
+    A state is the bitmask (bit a for e_a) of letters that may not
+    follow the word.  Parents come in word order and letters are
+    appended in ascending order, so each level is born sorted.  The
+    guard is checked from the level sizes before anything is built.
+    """
     if m == 0:
-        return (identity(g),)
-    prev = _levels(g, m - 1, guard)
-    sizes = [len(_levels(g, j, guard)) for j in range(m)]
-    # Cartier-Foata: the growth series is 1 / sum_C (-t)^|C| over cliques
-    # C, so level m is sized from the lower levels before it is built.
-    size = sum(
-        (-1) ** (len(c) + 1) * sizes[m - len(c)]
-        for c in enumerate_cliques(g)
-        if 0 < len(c) <= m
-    )
-    if sum(sizes) + size > guard:
+        return (((identity(g),), (0,)),)
+    if sum(level_sizes(g, m)) > guard:
         raise LevelTooLarge(
             f"ball through norm {m} holds more than {guard} elements"
         )
-    found: dict[tuple, MonoidElement] = {}
-    for x in prev:
-        base = x.letters()
-        for i in g.vertices():
-            y = normal_form(g, base + (i,))
-            found.setdefault(y.syllables, y)
-    return tuple(sorted(found.values(), key=lambda e: e.letters()))
+    lower = _levels(g, m - 1, guard)
+    adj = neighbor_sets(g)
+    moves = [
+        (a, sum(1 << b for b in adj[a]), (1 << a) - 2) for a in g.vertices()
+    ]
+    elems: list[MonoidElement] = []
+    states: list[int] = []
+    for x, forbidden in zip(*lower[-1]):
+        syll = x.syllables
+        for a, nbrs, less in moves:
+            if forbidden >> a & 1:
+                continue
+            if syll and syll[-1][0] == a:
+                grown = syll[:-1] + ((a, syll[-1][1] + 1),)
+            else:
+                grown = syll + ((a, 1),)
+            elems.append(MonoidElement(g, grown))
+            states.append(nbrs & (less | forbidden))
+    return lower + ((tuple(elems), tuple(states)),)
 
 
 def enumerate_norm_level(
@@ -331,59 +373,18 @@ def enumerate_norm_level(
 ) -> list[MonoidElement]:
     """All elements of norm exactly m, sorted by canonical word.
 
-    Built level by level (extend by one generator, deduplicate on the
-    normal form).  The guard bounds the total ball size through norm m.
+    The guard bounds the total ball size through norm m.
     """
     if m < 0:
         raise ParseError(f"norm level must be nonnegative, got {m}")
-    return list(_levels(g, m, guard))
+    return list(_levels(g, m, guard)[m][0])
 
 
 def ball(g: Graph, max_norm: int, guard: int = DEFAULT_BALL_GUARD) -> list[MonoidElement]:
     """All elements of norm <= max_norm, ordered by (norm, word)."""
-    out: list[MonoidElement] = []
-    for m in range(max_norm + 1):
-        out.extend(_levels(g, m, guard))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _multiples_within(x: MonoidElement, bound: int, guard: int) -> frozenset[MonoidElement]:
-    return frozenset(
-        z for z in ball(x.graph, bound, guard) if left_divides(x, z)
-    )
-
-
-def lcm_oracle(
-    p: MonoidElement, q: MonoidElement, guard: int = DEFAULT_BALL_GUARD
-) -> JoinResult:
-    """Exhaustive-search reference for lcm.
-
-    Enumerates every z with |z| <= |p| + |q| (any common multiple that
-    exists at all shows up in this ball), collects the common
-    multiples, and returns the unique one dividing all others.  Raises
-    OracleAmbiguous if minimality fails, which would mean the monoid
-    is not right-LCM and the word algebra is broken.
-    """
-    _same_graph(p, q)
-    bound = p.norm + q.norm
-    common = sorted(
-        _multiples_within(p, bound, guard) & _multiples_within(q, bound, guard),
-        key=lambda e: (e.norm, e.letters()),
-    )
-    if not common:
-        return INFINITY
-    least = common[0]
-    if len(common) > 1 and common[1].norm == least.norm:
-        raise OracleAmbiguous(
-            f"two norm-minimal common multiples of {p!r} and {q!r}"
-        )
-    for z in common[1:]:
-        if not left_divides(least, z):
-            raise OracleAmbiguous(
-                f"{least!r} misses common multiple {z!r} of {p!r}, {q!r}"
-            )
-    return least
+    if max_norm < 0:
+        return []
+    return [x for elems, _ in _levels(g, max_norm, guard) for x in elems]
 
 
 def parse_element(g: Graph, text: str) -> MonoidElement:

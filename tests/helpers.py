@@ -6,11 +6,13 @@ functions, plain subset sums) so agreement is meaningful.
 """
 
 from collections import deque
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from raamkit import (
+    INFINITY,
     GammaFamily,
     Graph,
     ball,
@@ -86,6 +88,49 @@ def left_divides_oracle(p, x) -> bool:
     if gap < 0:
         return False
     return any(multiply(p, z) == x for z in ball(g, gap) if z.norm == gap)
+
+
+class OracleAmbiguous(AssertionError):
+    """The enumeration oracle found no unique minimal common multiple.
+
+    This cannot happen in a right-LCM monoid; if raised, the word
+    algebra itself is broken, so the oracle refuses to guess.
+    """
+
+
+@lru_cache(maxsize=None)
+def _multiples_within(x, bound: int) -> frozenset:
+    """{x * y : |y| <= bound - |x|}, by multiplying out, not by division."""
+    return frozenset(multiply(x, y) for y in ball(x.graph, bound - x.norm))
+
+
+def lcm_oracle(p, q):
+    """Exhaustive-search reference for lcm.
+
+    Collects the common multiples of norm <= |p| + |q| (any common
+    multiple that exists at all shows up there) and returns the unique
+    one that all others are multiples of.  Raises OracleAmbiguous if
+    minimality fails, which would mean the monoid is not right-LCM and
+    the word algebra is broken.
+    """
+    bound = p.norm + q.norm
+    common = sorted(
+        _multiples_within(p, bound) & _multiples_within(q, bound),
+        key=lambda e: (e.norm, e.letters()),
+    )
+    if not common:
+        return INFINITY
+    least = common[0]
+    if len(common) > 1 and common[1].norm == least.norm:
+        raise OracleAmbiguous(
+            f"two norm-minimal common multiples of {p!r} and {q!r}"
+        )
+    missed = set(common) - _multiples_within(least, bound)
+    if missed:
+        raise OracleAmbiguous(
+            f"{least!r} misses common multiples {sorted(map(repr, missed))} of {p!r}, {q!r}"
+        )
+    return least
 
 
 def clique_series_counts(g: Graph, upto: int) -> list[int]:

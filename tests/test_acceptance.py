@@ -29,7 +29,6 @@ from raamkit import (
     generator,
     identity,
     lcm,
-    lcm_oracle,
     max_joinable_subset,
     key_estimate_check,
     nica_covariance_check,
@@ -47,6 +46,7 @@ from raamkit.cli import parse_problem, run_report
 
 from .helpers import (
     ACCEPTANCE_LINES,
+    lcm_oracle,
     random_k221_family,
     random_letter_shuffle,
     random_toy_family,

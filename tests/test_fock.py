@@ -221,13 +221,27 @@ def test_default_truncation_reaches_target():
     assert dnorm * tail_bound(1, 0.5, level - 1) >= 1e-9
 
 
-def test_default_truncation_capped_by_ball_guard(toy_graph):
+def test_default_truncation_capped_by_ball_guard(toy_graph, monkeypatch):
+    import raamkit.monoid as monoid
     from raamkit import LevelTooLarge
 
     # toy ball growth hits the enumeration guard before the tail
-    # reaches the tolerance; the last feasible level comes back
+    # reaches the tolerance; the last feasible level comes back,
+    # sized from the clique polynomial without enumerating above it
     f = truncated_shift_family(toy_graph, 2, scale=0.8)
+    built = []
+    real = monoid._levels
+
+    def recording(g, m, guard):
+        built.append(m)
+        return real(g, m, guard)
+
+    monkeypatch.setattr(monoid, "_levels", recording)
     level = default_truncation(f, 0.9)
+    assert all(m <= level for m in built)
+    monkeypatch.undo()
+    with pytest.raises(LevelTooLarge):
+        ball(toy_graph, level + 1)
     with pytest.raises(LevelTooLarge):
         ball(toy_graph, level + 2)
 

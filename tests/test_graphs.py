@@ -41,6 +41,15 @@ def test_neighbor_sets(toy_graph):
     assert ns[4] == frozenset({1, 2, 3})
 
 
+def test_neighbor_sets_read_only(toy_graph):
+    ns = neighbor_sets(toy_graph)
+    with pytest.raises(TypeError):
+        ns[1] = frozenset()
+    with pytest.raises(TypeError):
+        del ns[3]
+    assert neighbor_sets(toy_graph)[1] == frozenset({2, 4})
+
+
 def test_complement_roundtrip(toy_graph):
     assert complement(complement(toy_graph)) == toy_graph
     assert complement(complete_graph(4)) == empty_graph(4)

@@ -18,7 +18,6 @@ from raamkit import (
     is_finite,
     join_set,
     lcm,
-    lcm_oracle,
     left_divides,
     left_quotient,
     multiply,
@@ -28,6 +27,7 @@ from raamkit import (
 
 from .helpers import (
     clique_series_counts,
+    lcm_oracle,
     left_divides_oracle,
     normal_form_oracle,
     random_graph,
@@ -276,6 +276,46 @@ def test_ball_guard_fires_before_enumeration(toy_graph, monkeypatch):
     with pytest.raises(LevelTooLarge):
         ball(toy_graph, 6, guard=guard)
     assert calls == []
+
+
+def test_word_layer_normalises_once(toy_graph, monkeypatch):
+    # divisibility peels plain letter lists, quotient and lcm normalise
+    # their answer once, and balls grow by the automaton alone
+    import random
+
+    import raamkit.monoid as monoid
+
+    rnd = random.Random(4)
+    w = [rnd.randint(1, 4) for _ in range(392)]
+    p = normal_form(toy_graph, w + [rnd.choice((1, 2, 4)) for _ in range(8)])
+    q = normal_form(toy_graph, w + [rnd.choice((1, 2, 4)) for _ in range(8)])
+    assert p.norm == q.norm == 400
+    calls = []
+    real = monoid.normal_form
+
+    def counting(g, word):
+        calls.append(len(word))
+        return real(g, word)
+
+    monkeypatch.setattr(monoid, "normal_form", counting)
+    assert left_divides(p, p) and not left_divides(p, q)
+    assert calls == []
+    j = lcm(p, q)
+    assert is_finite(j) and len(calls) == 1
+    assert left_divides(p, j) and left_divides(q, j)
+    assert len(calls) == 1
+    y = left_quotient(p, j)
+    assert len(calls) == 2
+    assert real(toy_graph, p.letters() + y.letters()) == j
+
+    calls.clear()
+    monoid._levels.cache_clear()
+    b = ball(toy_graph, 8)
+    assert calls == []
+    by_norm = [sum(1 for x in b if x.norm == m) for m in range(9)]
+    assert by_norm == clique_series_counts(toy_graph, 8)
+    assert b == sorted(b, key=lambda x: (x.norm, x.letters()))
+    assert all(real(toy_graph, x.letters()) == x for x in b)
 
 
 def test_lcm_oracle_agreement_small(toy_graph):
