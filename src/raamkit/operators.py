@@ -3,14 +3,22 @@
 A family assigns a matrix T_i to each graph vertex so that T_i and
 T_j commute whenever ij is an edge; words then evaluate to products
 T_p.  The checks here are the finite-dimensional content of the
-Brehmer-type positivity conditions: alternating sums
+Brehmer-type positivity conditions.  Only cliques have joins, and the
+join of a clique c is the product of its commuting generators, so the
+clique conditions are clique sums
+
+    sum over cliques c of x^|c| T_c T_c*,   T_c = prod_{v in c} T_v,
+
+built from generator matrices alone: x = -1 over the cliques of a
+clique neighbourhood for the Brehmer checks, x = -r^2 over all
+cliques for the radial defect.  zed is the general alternating sum
 
     Z(F) = sum over subsets U of F of (-1)^|U| T_join(U) T_join(U)*
 
-with T of an infinite join read as 0, tested for positive
-semidefiniteness over the cliques the graph prescribes, plus the
-telescoping estimate bounding sum_p T_p T_p* over any finite set F by
-the largest joinable subset size c_F.
+over an arbitrary finite element set F, with T of an infinite join
+read as 0; it walks all subsets of F and feeds the telescoping
+estimate bounding sum_p T_p T_p* over F by the largest joinable
+subset size c_F.
 
 Matrices are plain numpy complex arrays.  Everything is desk scale;
 eigenvalues come from dense Hermitian solvers.
@@ -41,7 +49,6 @@ from .monoid import (
     INFINITY,
     JoinResult,
     MonoidElement,
-    generator,
     identity,
     is_finite,
     lcm,
@@ -230,6 +237,23 @@ def zed(
     return acc
 
 
+def _clique_sum(
+    f: GammaFamily, cliques: Sequence[frozenset[int]], x: float
+) -> np.ndarray:
+    """Sum of x^|c| T_c T_c* over the given cliques, in the order given.
+
+    T_c is the identity times the generator matrices of c in ascending
+    vertex order; they commute, so this is T of the clique's join.
+    """
+    acc = np.zeros((f.dim, f.dim), dtype=np.complex128)
+    for c in cliques:
+        t = np.eye(f.dim, dtype=np.complex128)
+        for v in sorted(c):
+            t = t @ f.matrix(v)
+        acc += x ** len(c) * (t @ t.conj().T)
+    return acc
+
+
 def _neighborhood_zed_reports(
     f: GammaFamily,
     scope: frozenset[int] | None,
@@ -239,21 +263,29 @@ def _neighborhood_zed_reports(
     """Z-positivity over clique neighbourhoods, optionally within scope.
 
     For each clique W (restricted to scope when given), the vertices
-    adjacent to all of W (again within scope) index the generator set
-    fed to zed.  Maximal cliques have empty neighbourhoods and their
-    Z is trivially the identity, so they are skipped.
+    adjacent to all of W (again within scope) form its neighbourhood
+    N(W), and Z is the clique sum with x = -1 over the cliques inside
+    N(W): the subsets of N(W) without a join contribute nothing.  The
+    cliques are summed in colex order, the order in which zed's subset
+    bitmasks over the sorted generators of N(W) visit them.  Maximal
+    cliques have empty neighbourhoods and their Z is trivially the
+    identity, so they are skipped.
     """
     g = f.graph
     members = scope if scope is not None else frozenset(g.vertices())
+    cliques = enumerate_cliques(g)
     out: list[CheckReport] = []
-    for w in enumerate_cliques(g):
+    for w in cliques:
         if not w <= members:
             continue
         hood = common_neighborhood(g, w) & members
         if not hood:
             continue
-        elems = [generator(g, v) for v in sorted(hood)]
-        rep = psd_check(zed(f, elems), tol, name=name)
+        inside = sorted(
+            (c for c in cliques if c <= hood),
+            key=lambda c: sorted(c, reverse=True),
+        )
+        rep = psd_check(_clique_sum(f, inside, -1.0), tol, name=name)
         rep.parameters.update(
             clique=sorted(w),
             neighborhood=sorted(hood),
@@ -289,22 +321,14 @@ def brehmer_clique_check(
 
 
 def delta_operator(f: GammaFamily, r: float) -> np.ndarray:
-    """Defect sum over cliques: sum (-r^2)^|U| T_join(U) T_join(U)*.
+    """Defect sum over cliques: sum (-r^2)^|c| T_c T_c*.
 
     Only cliques contribute; a non-clique set of generators has no
     common multiple.  At r = 1 this is Z over the full generator set.
     """
     if not (0.0 <= r <= 1.0):
         raise ValidationError(f"r must lie in [0, 1], got {r}")
-    g = f.graph
-    acc = np.zeros((f.dim, f.dim), dtype=np.complex128)
-    for c in enumerate_cliques(g):
-        word = identity(g)
-        for v in sorted(c):
-            word = word * generator(g, v)
-        t = evaluate_word(f, word)
-        acc += (-(r * r)) ** len(c) * (t @ t.conj().T)
-    return acc
+    return _clique_sum(f, enumerate_cliques(f.graph), -(r * r))
 
 
 def property_p_scan(

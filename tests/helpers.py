@@ -229,6 +229,21 @@ def random_k221_family(g: Graph, rng, dims=(2, 2, 1), scale: float = 0.9):
     return GammaFamily(graph=g, dim=d1 * d2 * d3, generators=gens)
 
 
+def random_commuting_family(g: Graph, rng, d: int = 3, scale: float = 0.9):
+    """Simultaneously diagonalisable family: every pair commutes, so it
+    is a valid family on any graph, K(1,1,1,1) included."""
+    while True:
+        s = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        if np.linalg.cond(s) < 50.0:
+            break
+    sinv = np.linalg.inv(s)
+    raw = [
+        s @ np.diag(rng.normal(size=d) + 1j * rng.normal(size=d)) @ sinv
+        for _ in g.vertices()
+    ]
+    return GammaFamily(graph=g, dim=d, generators=tuple(_shrink(raw, scale)))
+
+
 def scalar_family(g: Graph, values) -> GammaFamily:
     gens = tuple(np.array([[complex(v)]]) for v in values)
     return GammaFamily(graph=g, dim=1, generators=gens)

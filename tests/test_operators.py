@@ -23,6 +23,7 @@ from raamkit import (
 )
 
 from .helpers import (
+    random_commuting_family,
     random_k221_family,
     random_toy_family,
     scalar_family,
@@ -254,3 +255,56 @@ def test_family_json_roundtrip(toy_graph, rng):
 
     with pytest.raises(ValidationError):
         family_from_json(toy_graph, {"dim": 2})
+
+
+def clique_sum_fixtures(toy_graph, k221_graph, rng):
+    from raamkit import complete_multipartite
+
+    k1111 = complete_multipartite([1, 1, 1, 1])
+    return [
+        random_toy_family(toy_graph, rng),
+        random_k221_family(k221_graph, rng),
+        random_commuting_family(k1111, rng),
+    ]
+
+
+def test_delta_operator_matches_subset_oracle(toy_graph, k221_graph, rng):
+    # Delta_r(f) is Z over all generators of the family r*f
+    for f in clique_sum_fixtures(toy_graph, k221_graph, rng):
+        gens = [generator(f.graph, i) for i in f.graph.vertices()]
+        for r in (0.0, 0.5, 1.0):
+            scaled = GammaFamily(
+                graph=f.graph, dim=f.dim, generators=tuple(r * m for m in f.generators)
+            )
+            assert np.allclose(
+                delta_operator(f, r), zed_oracle(scaled, gens), rtol=0, atol=1e-12
+            )
+
+
+def test_brehmer_eigenvalues_match_subset_oracle(toy_graph, k221_graph, rng):
+    for f in clique_sum_fixtures(toy_graph, k221_graph, rng):
+        reports = weak_brehmer_check(f) + brehmer_clique_check(f)
+        assert reports
+        for rep in reports:
+            gens = [generator(f.graph, v) for v in rep.parameters["neighborhood"]]
+            z = zed_oracle(f, gens)
+            lam = np.linalg.eigvalsh((z + z.conj().T) / 2)[0]
+            assert rep.min_eigenvalue == pytest.approx(lam, abs=1e-12)
+
+
+def test_clique_sums_need_no_word_algebra(toy_graph, monkeypatch, rng):
+    import raamkit.monoid
+    import raamkit.operators
+
+    f = random_toy_family(toy_graph, rng)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("clique sums must not touch the word algebra")
+
+    monkeypatch.setattr(raamkit.monoid, "normal_form", refuse)
+    monkeypatch.setattr(raamkit.operators, "zed", refuse)
+    monkeypatch.setattr(raamkit.operators, "evaluate_word", refuse)
+    monkeypatch.setattr(raamkit.operators, "lcm", refuse)
+    assert delta_operator(f, 0.5).shape == (f.dim, f.dim)
+    assert len(weak_brehmer_check(f)) == 4
+    assert len(brehmer_clique_check(f)) == 8
