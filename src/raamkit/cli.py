@@ -50,6 +50,7 @@ from .monoid import (
 from .operators import (
     CheckReport,
     GammaFamily,
+    _finite_real,
     brehmer_clique_check,
     family_from_json,
     key_estimate_check,
@@ -86,11 +87,17 @@ class ProblemSpec:
     vn_terms: list[tuple[complex, object, object]] | None = None
 
 
+def _json_int(x: object) -> bool:
+    """An integer that is not a bool (JSON true is not a number)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_problem(source: str | dict) -> ProblemSpec:
     """Parse a problem into a spec: JSON text, a file path, or a dict.
 
     Unknown keys, malformed structure -> ParseError; structurally fine
-    but out-of-range values (r outside [0,1), bad dimensions) ->
+    but out-of-range values (r outside [0,1), bad dimensions,
+    non-finite numbers, true/false where a number belongs) ->
     ValidationError.
     """
     if isinstance(source, str):
@@ -123,19 +130,19 @@ def parse_problem(source: str | dict) -> ProblemSpec:
     if bad:
         raise ParseError(f"unknown option keys {sorted(bad)}")
     trunc = opts.get("truncation", 4)
-    if not isinstance(trunc, int) or trunc < 0:
+    if not _json_int(trunc) or trunc < 0:
         raise ValidationError(f"truncation must be a nonnegative integer, got {trunc!r}")
     grid = opts.get("r_grid", [0.5, 0.9, 0.99])
     if not isinstance(grid, list) or not grid:
         raise ValidationError("r_grid must be a nonempty list")
     for r in grid:
-        if not isinstance(r, (int, float)) or not (0.0 <= float(r) < 1.0):
+        if not _finite_real(r) or not (0.0 <= float(r) < 1.0):
             raise ValidationError(f"grid radius {r!r} outside [0, 1)")
     tol = opts.get("tol", 1e-9)
-    if not isinstance(tol, (int, float)) or tol <= 0:
+    if not _finite_real(tol) or tol <= 0:
         raise ValidationError(f"tol must be positive, got {tol!r}")
     guard = opts.get("guard", DEFAULT_BALL_GUARD)
-    if not isinstance(guard, int) or guard < 1:
+    if not _json_int(guard) or guard < 1:
         raise ValidationError(f"guard must be a positive integer, got {guard!r}")
 
     terms = None
@@ -145,9 +152,16 @@ def parse_problem(source: str | dict) -> ProblemSpec:
             raise ParseError("vn_terms must be a nonempty list")
         terms = []
         for t in raw:
-            if not isinstance(t, dict) or "p" not in t or "q" not in t:
+            if not isinstance(t, dict) or not all(
+                isinstance(t.get(k), str) for k in ("p", "q")
+            ):
                 raise ParseError("each vn term needs 'p' and 'q' literals")
-            coeff = complex(t.get("re", 1.0), t.get("im", 0.0))
+            re, im = t.get("re", 1.0), t.get("im", 0.0)
+            if not (_finite_real(re) and _finite_real(im)):
+                raise ValidationError(
+                    f"vn term coefficients must be finite numbers, got {re!r}, {im!r}"
+                )
+            coeff = complex(re, im)
             terms.append((coeff, parse_element(g, t["p"]), parse_element(g, t["q"])))
     return ProblemSpec(
         graph=g,
@@ -419,8 +433,8 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.input, "r", encoding="utf-8") as fh:
             spec = parse_problem(fh.read())
         if args.suite_tol is not None:
-            if args.suite_tol <= 0:
-                raise ValidationError("--suite-tol must be positive")
+            if not (math.isfinite(args.suite_tol) and args.suite_tol > 0):
+                raise ValidationError("--suite-tol must be a positive finite number")
             spec.tol = args.suite_tol
         if args.truncation is not None:
             if args.truncation < 0:

@@ -35,13 +35,13 @@ class Graph:
         Rejects self-loops, duplicate edges (in either orientation) and
         vertices outside 1..n.
         """
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValidationError(f"vertex count must be a positive integer, got {n!r}")
         seen: set[tuple[int, int]] = set()
         for pair in edges:
             i, j = pair
             for v in (i, j):
-                if not isinstance(v, int) or not (1 <= v <= n):
+                if isinstance(v, bool) or not isinstance(v, int) or not (1 <= v <= n):
                     raise BadVertex(f"vertex {v!r} outside 1..{n}")
             if i == j:
                 raise ValidationError(f"self-loop at vertex {i}")

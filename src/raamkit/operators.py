@@ -26,6 +26,7 @@ eigenvalues come from dense Hermitian solvers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -408,18 +409,41 @@ def family_to_json(f: GammaFamily) -> dict:
     }
 
 
+def _finite_real(x: object) -> bool:
+    """A JSON number (int or float, not bool) that is finite as a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _real_block(raw: object, d: int, what: str) -> np.ndarray:
+    """A d x d list of rows of finite numbers, as a float array."""
+    if not (
+        isinstance(raw, list)
+        and len(raw) == d
+        and all(isinstance(row, list) and len(row) == d for row in raw)
+    ):
+        raise DimensionMismatch(f"{what} must be a list of {d} rows of {d} entries")
+    if not all(_finite_real(x) for row in raw for x in row):
+        raise ValidationError(f"{what} entries must be finite numbers")
+    return np.array(raw, dtype=float)
+
+
 def family_from_json(g: Graph, obj: object) -> GammaFamily:
     """Family from {"dim": d, "matrices": [{"re": .., "im": ..}, ..]}.
 
     Matrices are listed in vertex order; "im" may be omitted for real
-    input.
+    input.  Every entry must be a finite JSON number.
     """
     if not isinstance(obj, dict):
         raise ValidationError("family object must be a dict")
     if "dim" not in obj or "matrices" not in obj:
         raise ValidationError("family object needs keys 'dim' and 'matrices'")
     d = obj["dim"]
-    if not isinstance(d, int) or d < 1:
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise ValidationError(f"dim must be a positive integer, got {d!r}")
     mats_json = obj["matrices"]
     if not isinstance(mats_json, list) or len(mats_json) != g.n:
@@ -431,11 +455,7 @@ def family_from_json(g: Graph, obj: object) -> GammaFamily:
     for k, mj in enumerate(mats_json, start=1):
         if not isinstance(mj, dict) or "re" not in mj:
             raise ValidationError(f"matrix {k} needs at least a 're' block")
-        re = np.array(mj["re"], dtype=float)
-        im = np.array(mj.get("im", np.zeros_like(re)), dtype=float)
-        if re.shape != (d, d) or im.shape != (d, d):
-            raise DimensionMismatch(
-                f"matrix {k} blocks must be {d}x{d}, got {re.shape} and {im.shape}"
-            )
+        re = _real_block(mj["re"], d, f"matrix {k} 're' block")
+        im = _real_block(mj["im"], d, f"matrix {k} 'im' block") if "im" in mj else np.zeros_like(re)
         mats.append(re + 1j * im)
     return GammaFamily(graph=g, dim=d, generators=tuple(mats))

@@ -1,4 +1,7 @@
+import copy
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -192,4 +195,74 @@ def test_main_guard_env(tmp_path, capsys, monkeypatch):
     assert main(["fixtures", "--input", src]) == 4
     monkeypatch.setenv("RAAMKIT_GUARD", "not-a-number")
     assert main(["graph", "--input", src]) == 4
+    capsys.readouterr()
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_problem() -> dict:
+    text = README.read_text(encoding="utf-8")
+    return json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+
+
+def test_readme_example_passes_all(tmp_path, capsys):
+    src = write_problem(tmp_path, readme_problem())
+    out = tmp_path / "rep.json"
+    assert main(["all", "--input", src, "--truncation", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["summary"]["failed"] == 0
+    capsys.readouterr()
+
+
+def _set(path, value):
+    def mutate(doc):
+        *head, last = path
+        node = doc
+        for key in head:
+            node = node[key]
+        node[last] = value
+        return doc
+
+    return mutate
+
+
+def _one_vertex(doc):
+    return {
+        "graph": {"n": True, "edges": []},
+        "family": {"dim": 1, "matrices": [{"re": [[0.5]]}]},
+    }
+
+
+BAD_INPUTS = {
+    "nan-entry": _set(["family", "matrices", 0, "re", 0, 0], float("nan")),
+    "inf-entry": _set(["family", "matrices", 2, "im"], [[0.0, float("inf")], [0.0, 0.0]]),
+    "ragged-re": _set(["family", "matrices", 1, "re"], [[0.4, 0.0], [0.2]]),
+    "string-re": _set(["family", "matrices", 1, "re"], "x"),
+    "bool-entry": _set(["family", "matrices", 0, "re", 0, 0], True),
+    "vn-re-string": _set(["vn_terms", 0, "re"], "x"),
+    "vn-p-number": _set(["vn_terms", 0, "p"], 1),
+    "tol-nan": _set(["options", "tol"], float("nan")),
+    "tol-inf": _set(["options", "tol"], float("inf")),
+    "truncation-true": _set(["options", "truncation"], True),
+    "guard-true": _set(["options", "guard"], True),
+    "radius-false": _set(["options", "r_grid"], [False, 0.5]),
+    "dim-true": _set(["family", "dim"], True),
+    "edge-vertex-true": _set(["graph", "edges", 0], [True, 2]),
+    "n-true": _one_vertex,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_main_bad_input_exits_4_with_one_line(case, tmp_path, capsys):
+    doc = BAD_INPUTS[case](copy.deepcopy(readme_problem()))
+    src = write_problem(tmp_path, doc)
+    assert main(["poisson", "--input", src, "--truncation", "1"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_main_rejects_bad_suite_tol(tol, tmp_path, capsys):
+    src = write_problem(tmp_path, {"graph": TOY})
+    assert main(["graph", "--input", src, "--suite-tol", tol]) == 4
     capsys.readouterr()
