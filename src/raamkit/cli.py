@@ -296,7 +296,7 @@ def _suite_poisson(spec: ProblemSpec, fam: GammaFamily | None = None) -> list[Ch
             continue
         gram = kern.matrix.conj().T @ kern.matrix
         resid = opnorm(gram - np.eye(f.dim))
-        rep = unit_resolution_check(kern)
+        rep = unit_resolution_check(kern, spec.tol)
         allowance = rep.parameters["allowance"]
         reports.append(
             CheckReport(
@@ -311,7 +311,7 @@ def _suite_poisson(spec: ProblemSpec, fam: GammaFamily | None = None) -> list[Ch
         worst_rep = None
         for p in small:
             for q in small:
-                rr = poisson_reproduce_check(kern, p, q)
+                rr = poisson_reproduce_check(kern, p, q, spec.tol)
                 if worst_rep is None or rr.residual > worst_rep.residual:
                     worst_rep = rr
         worst_rep.parameters["pairs"] = len(small) ** 2

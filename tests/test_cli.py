@@ -266,3 +266,21 @@ def test_main_rejects_bad_suite_tol(tol, tmp_path, capsys):
     src = write_problem(tmp_path, {"graph": TOY})
     assert main(["graph", "--input", src, "--suite-tol", tol]) == 4
     capsys.readouterr()
+
+
+def test_main_suite_tol_reaches_every_poisson_check(tmp_path, capsys):
+    doc = {
+        "graph": {"n": 1, "edges": []},
+        "family": {"dim": 1, "matrices": [{"re": [[0.5]]}]},
+        "options": {"truncation": 8, "r_grid": [0.5]},
+    }
+    src = write_problem(tmp_path, doc)
+    out = tmp_path / "rep.json"
+    main(["poisson", "--input", src, "--suite-tol", "1e-6", "--out", str(out)])
+    tols = {
+        rep["name"]: rep["parameters"]["tol"]
+        for rep in json.loads(out.read_text())["reports"]
+        if rep["name"] in ("unit_resolution", "poisson_reproduce")
+    }
+    assert tols == {"unit_resolution": 1e-6, "poisson_reproduce": 1e-6}
+    capsys.readouterr()
