@@ -34,6 +34,7 @@ from .fock import (
 )
 from .graphs import (
     Graph,
+    _json_int,
     clique_number,
     complement_components,
     enumerate_cliques,
@@ -85,11 +86,6 @@ class ProblemSpec:
     tol: float = 1e-9
     guard: int = DEFAULT_BALL_GUARD
     vn_terms: list[tuple[complex, object, object]] | None = None
-
-
-def _json_int(x: object) -> bool:
-    """An integer that is not a bool (JSON true is not a number)."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def parse_problem(source: str | dict) -> ProblemSpec:

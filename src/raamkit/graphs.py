@@ -17,6 +17,11 @@ from typing import Iterable, Mapping
 from .errors import BadVertex, NotAClique, ValidationError
 
 
+def _json_int(x: object) -> bool:
+    """An integer that is not a bool (JSON true is not a number)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph with vertex set {1, ..., n}.
@@ -35,13 +40,13 @@ class Graph:
         Rejects self-loops, duplicate edges (in either orientation) and
         vertices outside 1..n.
         """
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        if not _json_int(n) or n < 1:
             raise ValidationError(f"vertex count must be a positive integer, got {n!r}")
         seen: set[tuple[int, int]] = set()
         for pair in edges:
             i, j = pair
             for v in (i, j):
-                if isinstance(v, bool) or not isinstance(v, int) or not (1 <= v <= n):
+                if not _json_int(v) or not (1 <= v <= n):
                     raise BadVertex(f"vertex {v!r} outside 1..{n}")
             if i == j:
                 raise ValidationError(f"self-loop at vertex {i}")

@@ -41,6 +41,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    _json_int,
     common_neighborhood,
     complement_components,
     enumerate_cliques,
@@ -443,7 +444,7 @@ def family_from_json(g: Graph, obj: object) -> GammaFamily:
     if "dim" not in obj or "matrices" not in obj:
         raise ValidationError("family object needs keys 'dim' and 'matrices'")
     d = obj["dim"]
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+    if not _json_int(d) or d < 1:
         raise ValidationError(f"dim must be a positive integer, got {d!r}")
     mats_json = obj["matrices"]
     if not isinstance(mats_json, list) or len(mats_json) != g.n:
@@ -456,6 +457,9 @@ def family_from_json(g: Graph, obj: object) -> GammaFamily:
         if not isinstance(mj, dict) or "re" not in mj:
             raise ValidationError(f"matrix {k} needs at least a 're' block")
         re = _real_block(mj["re"], d, f"matrix {k} 're' block")
-        im = _real_block(mj["im"], d, f"matrix {k} 'im' block") if "im" in mj else np.zeros_like(re)
+        if "im" in mj:
+            im = _real_block(mj["im"], d, f"matrix {k} 'im' block")
+        else:
+            im = np.zeros_like(re)
         mats.append(re + 1j * im)
     return GammaFamily(graph=g, dim=d, generators=tuple(mats))

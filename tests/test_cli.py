@@ -185,7 +185,8 @@ def test_main_flag_overrides(tmp_path, capsys):
         ["identities", "--input", src, "--suite-tol", "1e-6", "--truncation", "2", "--out", out]
     )
     assert code == 0
-    assert main(["identities", "--input", src, "--suite-tol", "-1"]) == 4
+    for bad in ("-1", "nan", "inf"):
+        assert main(["identities", "--input", src, "--suite-tol", bad]) == 4
     capsys.readouterr()
 
 
@@ -227,6 +228,8 @@ def _set(path, value):
 
 
 def _one_vertex(doc):
+    # on the README graph n = true already fails on the edge [1, 2];
+    # with no edges only the bool itself can be refused
     return {
         "graph": {"n": True, "edges": []},
         "family": {"dim": 1, "matrices": [{"re": [[0.5]]}]},
@@ -259,13 +262,6 @@ def test_main_bad_input_exits_4_with_one_line(case, tmp_path, capsys):
     assert main(["poisson", "--input", src, "--truncation", "1"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
-def test_main_rejects_bad_suite_tol(tol, tmp_path, capsys):
-    src = write_problem(tmp_path, {"graph": TOY})
-    assert main(["graph", "--input", src, "--suite-tol", tol]) == 4
-    capsys.readouterr()
 
 
 def test_main_suite_tol_reaches_every_poisson_check(tmp_path, capsys):
