@@ -159,13 +159,7 @@ def psd_check(a: np.ndarray, tol: float | None = None, name: str = "psd") -> Che
 
 def validate_family(f: GammaFamily, tol: float = DEFAULT_FAMILY_TOL) -> CheckReport:
     """Commutators along edges and norms <= 1, both within tol."""
-    worst_comm = 0.0
-    worst_edge = None
-    for i, j in sorted(f.graph.edges):
-        r = opnorm(f.matrix(i) @ f.matrix(j) - f.matrix(j) @ f.matrix(i))
-        if r > worst_comm:
-            worst_comm, worst_edge = r, [i, j]
-    norms = [opnorm(m) for m in f.generators]
+    # before any norm: the SVD behind opnorm raises on non-finite input
     if not all(np.all(np.isfinite(m)) for m in f.generators):
         return CheckReport(
             name="gamma_family",
@@ -173,6 +167,13 @@ def validate_family(f: GammaFamily, tol: float = DEFAULT_FAMILY_TOL) -> CheckRep
             residual=float("inf"),
             parameters={"reason": "non-finite entries"},
         )
+    worst_comm = 0.0
+    worst_edge = None
+    for i, j in sorted(f.graph.edges):
+        r = opnorm(f.matrix(i) @ f.matrix(j) - f.matrix(j) @ f.matrix(i))
+        if r > worst_comm:
+            worst_comm, worst_edge = r, [i, j]
+    norms = [opnorm(m) for m in f.generators]
     excess = max((x - 1.0 for x in norms), default=0.0)
     return CheckReport(
         name="gamma_family",

@@ -69,6 +69,13 @@ def test_validate_family(toy_graph, rng):
     rep = validate_family(big)
     assert not rep.passed
     assert rep.parameters["max_norm"] > 1.0
+    # a NaN entry is a failed validation, not an SVD error
+    nan = np.array(f.generators[0])
+    nan[0, 0] = np.nan
+    bad = GammaFamily(graph=toy_graph, dim=f.dim, generators=(nan,) + f.generators[1:])
+    rep = validate_family(bad)
+    assert not rep.passed
+    assert rep.parameters["reason"] == "non-finite entries"
 
 
 def test_evaluate_word_is_morphism(toy_graph, rng):
