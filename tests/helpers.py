@@ -167,16 +167,17 @@ def zed_oracle(f: GammaFamily, elems) -> np.ndarray:
     return total
 
 
-def commuting_pair(rng, d: int, cond_max: float = 50.0):
-    """Two exactly-commuting dense complex matrices, moderate conditioning."""
+def commuting_matrices(rng, d: int, count: int, cond_max: float = 50.0):
+    """Exactly-commuting dense complex matrices, moderate conditioning."""
     while True:
         s = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         if np.linalg.cond(s) < cond_max:
             break
     sinv = np.linalg.inv(s)
-    d1 = np.diag(rng.normal(size=d) + 1j * rng.normal(size=d))
-    d2 = np.diag(rng.normal(size=d) + 1j * rng.normal(size=d))
-    return s @ d1 @ sinv, s @ d2 @ sinv
+    return [
+        s @ np.diag(rng.normal(size=d) + 1j * rng.normal(size=d)) @ sinv
+        for _ in range(count)
+    ]
 
 
 def _shrink(mats, scale: float):
@@ -190,7 +191,7 @@ def _shrink(mats, scale: float):
 def random_toy_family(g: Graph, rng, d1: int = 2, d2: int = 2, scale: float = 0.9):
     """Tensor family on the toy graph: vertices 1,2 commute on factor one,
     vertex 3 acts freely there, vertex 4 lives on factor two."""
-    a1, a2 = commuting_pair(rng, d1)
+    a1, a2 = commuting_matrices(rng, d1, 2)
     a3 = rng.normal(size=(d1, d1)) + 1j * rng.normal(size=(d1, d1))
     b4 = rng.normal(size=(d2, d2)) + 1j * rng.normal(size=(d2, d2))
     a1, a2, a3 = _shrink([a1, a2, a3], scale)
@@ -232,15 +233,7 @@ def random_k221_family(g: Graph, rng, dims=(2, 2, 1), scale: float = 0.9):
 def random_commuting_family(g: Graph, rng, d: int = 3, scale: float = 0.9):
     """Simultaneously diagonalisable family: every pair commutes, so it
     is a valid family on any graph, K(1,1,1,1) included."""
-    while True:
-        s = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        if np.linalg.cond(s) < 50.0:
-            break
-    sinv = np.linalg.inv(s)
-    raw = [
-        s @ np.diag(rng.normal(size=d) + 1j * rng.normal(size=d)) @ sinv
-        for _ in g.vertices()
-    ]
+    raw = commuting_matrices(rng, d, g.n)
     return GammaFamily(graph=g, dim=d, generators=tuple(_shrink(raw, scale)))
 
 
