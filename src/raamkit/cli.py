@@ -6,7 +6,8 @@ deterministic JSON (sorted keys, stable ordering, round-trip floats)
 so reruns are byte-identical.
 
 Exit codes: 0 all checks passed, 1 at least one failed, 2 nothing
-failed but some check was inconclusive, 4 bad input.
+failed but some check was inconclusive, 3 internal error (an
+unexpected exception, reported as one line on stderr), 4 bad input.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ SUITES = (
 
 GUARD_ENV = "RAAMKIT_GUARD"
 RNG_SEED = 37117  # fixed: reports must be reproducible byte for byte
+EXIT_INTERNAL_ERROR = 3
 EXIT_INPUT_ERROR = 4
 
 
@@ -453,6 +455,10 @@ def main(argv: list[str] | None = None) -> int:
     except RaamkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:  # a bug, not a verdict: never exit 1 on it
+        msg = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
     text = json.dumps(doc, sort_keys=True, indent=2)
     print(_human_lines(doc))

@@ -11,7 +11,11 @@ clique conditions are clique sums
 
 built from generator matrices alone: x = -1 over the cliques of a
 clique neighbourhood for the Brehmer checks, x = -r^2 over all
-cliques for the radial defect.  zed is the general alternating sum
+cliques for the radial defect.  T_c T_c* depends neither on x nor on
+the neighbourhood being summed, so each clique sum forms it once per
+clique for a whole list of coefficients: a grid scan walks the
+cliques once for all of its radii, and the Brehmer checks sum once
+per distinct neighbourhood.  zed is the general alternating sum
 
     Z(F) = sum over subsets U of F of (-1)^|U| T_join(U) T_join(U)*
 
@@ -27,7 +31,7 @@ eigenvalues come from dense Hermitian solvers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -241,20 +245,26 @@ def zed(
 
 
 def _clique_sum(
-    f: GammaFamily, cliques: Sequence[frozenset[int]], x: float
-) -> np.ndarray:
-    """Sum of x^|c| T_c T_c* over the given cliques, in the order given.
+    f: GammaFamily, cliques: Sequence[frozenset[int]], xs: Sequence[float]
+) -> list[np.ndarray]:
+    """Sums of x^|c| T_c T_c* over the given cliques, one per x in xs.
 
-    T_c is the identity times the generator matrices of c in ascending
-    vertex order; they commute, so this is T of the clique's join.
+    The cliques are walked once, in the order given.  T_c is the
+    identity times the generator matrices of c in ascending vertex
+    order; they commute, so this is T of the clique's join.  Its Gram
+    T_c T_c* is formed once and added, scaled, to every accumulator, so
+    each sum sees the same float operations in the same order as a
+    walk for its x alone.
     """
-    acc = np.zeros((f.dim, f.dim), dtype=np.complex128)
+    accs = [np.zeros((f.dim, f.dim), dtype=np.complex128) for _ in xs]
     for c in cliques:
         t = np.eye(f.dim, dtype=np.complex128)
         for v in sorted(c):
             t = t @ f.matrix(v)
-        acc += x ** len(c) * (t @ t.conj().T)
-    return acc
+        g = t @ t.conj().T
+        for acc, x in zip(accs, xs):
+            acc += x ** len(c) * g
+    return accs
 
 
 def _neighborhood_zed_reports(
@@ -270,13 +280,16 @@ def _neighborhood_zed_reports(
     N(W), and Z is the clique sum with x = -1 over the cliques inside
     N(W): the subsets of N(W) without a join contribute nothing.  The
     cliques are summed in colex order, the order in which zed's subset
-    bitmasks over the sorted generators of N(W) visit them.  Maximal
-    cliques have empty neighbourhoods and their Z is trivially the
-    identity, so they are skipped.
+    bitmasks over the sorted generators of N(W) visit them.  Z depends
+    on N(W) alone, so it is summed and checked once per distinct
+    neighbourhood; every W still gets its own report.  Maximal cliques
+    have empty neighbourhoods and their Z is trivially the identity, so
+    they are skipped.
     """
     g = f.graph
     members = scope if scope is not None else frozenset(g.vertices())
     cliques = enumerate_cliques(g)
+    checked: dict[frozenset[int], CheckReport] = {}
     out: list[CheckReport] = []
     for w in cliques:
         if not w <= members:
@@ -284,11 +297,14 @@ def _neighborhood_zed_reports(
         hood = common_neighborhood(g, w) & members
         if not hood:
             continue
-        inside = sorted(
-            (c for c in cliques if c <= hood),
-            key=lambda c: sorted(c, reverse=True),
-        )
-        rep = psd_check(_clique_sum(f, inside, -1.0), tol, name=name)
+        if hood not in checked:
+            inside = sorted(
+                (c for c in cliques if c <= hood),
+                key=lambda c: sorted(c, reverse=True),
+            )
+            (z,) = _clique_sum(f, inside, [-1.0])
+            checked[hood] = psd_check(z, tol, name=name)
+        rep = replace(checked[hood], parameters=dict(checked[hood].parameters))
         rep.parameters.update(
             clique=sorted(w),
             neighborhood=sorted(hood),
@@ -329,9 +345,14 @@ def delta_operator(f: GammaFamily, r: float) -> np.ndarray:
     Only cliques contribute; a non-clique set of generators has no
     common multiple.  At r = 1 this is Z over the full generator set.
     """
+    _check_radius(r)
+    (delta,) = _clique_sum(f, enumerate_cliques(f.graph), [-(r * r)])
+    return delta
+
+
+def _check_radius(r: float) -> None:
     if not (0.0 <= r <= 1.0):
         raise ValidationError(f"r must lie in [0, 1], got {r}")
-    return _clique_sum(f, enumerate_cliques(f.graph), -(r * r))
 
 
 def property_p_scan(
@@ -339,14 +360,20 @@ def property_p_scan(
 ) -> list[CheckReport]:
     """Defect positivity on a grid of radii, plus a summary report.
 
-    The summary flags the failing prefix of the ascending grid; the
-    largest failing radius is the empirical lower edge for where the
-    defect turns positive.
+    Every radius is checked before any product is formed.  The defects
+    of all radii come from one clique sum, which forms each clique
+    product once for the whole grid; each equals delta_operator at its
+    radius bit for bit.  The summary flags the failing prefix of the
+    ascending grid; the largest failing radius is the empirical lower
+    edge for where the defect turns positive.
     """
     pts = sorted(float(r) for r in r_grid)
-    reports: list[CheckReport] = []
     for r in pts:
-        rep = psd_check(delta_operator(f, r), tol, name="property_p")
+        _check_radius(r)
+    deltas = _clique_sum(f, enumerate_cliques(f.graph), [-(r * r) for r in pts])
+    reports: list[CheckReport] = []
+    for r, delta in zip(pts, deltas):
+        rep = psd_check(delta, tol, name="property_p")
         rep.parameters["r"] = r
         reports.append(rep)
     fails = [r for r, rep in zip(pts, reports) if not rep.passed]

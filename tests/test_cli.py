@@ -280,3 +280,29 @@ def test_main_suite_tol_reaches_every_poisson_check(tmp_path, capsys):
     }
     assert tols == {"unit_resolution": 1e-6, "poisson_reproduce": 1e-6}
     capsys.readouterr()
+
+
+def test_main_internal_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    import raamkit.cli
+
+    def broken(spec):
+        raise RuntimeError("suite broke\non two lines")
+
+    monkeypatch.setattr(raamkit.cli, "_suite_graph", broken)
+    src = write_problem(tmp_path, {"graph": TOY})
+    assert main(["graph", "--input", src]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: suite broke on two lines\n"
+
+
+def test_main_lets_interrupts_through(tmp_path, capsys, monkeypatch):
+    import raamkit.cli
+
+    def interrupted(spec):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(raamkit.cli, "_suite_graph", interrupted)
+    src = write_problem(tmp_path, {"graph": TOY})
+    with pytest.raises(KeyboardInterrupt):
+        main(["graph", "--input", src])
+    capsys.readouterr()

@@ -315,3 +315,74 @@ def test_clique_sums_need_no_word_algebra(toy_graph, monkeypatch, rng):
     assert delta_operator(f, 0.5).shape == (f.dim, f.dim)
     assert len(weak_brehmer_check(f)) == 4
     assert len(brehmer_clique_check(f)) == 8
+
+
+def test_property_p_scan_equals_delta_operator_exactly(toy_graph, k221_graph, rng):
+    grid = [0.0, 0.3, 0.7, 0.99, 1.0]
+    for f in clique_sum_fixtures(toy_graph, k221_graph, rng):
+        reports = property_p_scan(f, grid)
+        for r, rep in zip(grid, reports[:-1]):
+            assert rep.parameters["r"] == r
+            assert rep.min_eigenvalue == psd_check(delta_operator(f, r)).min_eigenvalue
+
+
+def test_property_p_scan_forms_clique_products_once(toy_graph, monkeypatch, rng):
+    f = random_toy_family(toy_graph, rng)
+    calls = []
+    plain = GammaFamily.matrix
+
+    def counted(self, i):
+        calls.append(i)
+        return plain(self, i)
+
+    monkeypatch.setattr(GammaFamily, "matrix", counted)
+    property_p_scan(f, [0.5])
+    one = len(calls)
+    calls.clear()
+    property_p_scan(f, [0.09 * k for k in range(10)])
+    assert one > 0 and len(calls) == one
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
+def test_property_p_scan_checks_every_radius_before_work(toy_graph, monkeypatch, rng, bad):
+    import raamkit.operators
+    from raamkit import ValidationError
+
+    f = random_toy_family(toy_graph, rng)
+    with pytest.raises(ValidationError) as direct:
+        delta_operator(f, bad)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a clique product was formed before the radii were checked")
+
+    monkeypatch.setattr(raamkit.operators, "_clique_sum", refuse)
+    with pytest.raises(ValidationError) as scanned:
+        property_p_scan(f, [0.2, 0.5, bad])
+    assert str(scanned.value) == str(direct.value)
+
+
+def test_brehmer_sums_each_distinct_neighbourhood_once(monkeypatch, rng):
+    import raamkit.operators
+    from raamkit import complete_multipartite
+
+    f = random_commuting_family(complete_multipartite([2, 2, 2]), rng)
+    checks = []
+    plain = raamkit.operators.psd_check
+
+    def counted(*args, **kwargs):
+        checks.append(args)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(raamkit.operators, "psd_check", counted)
+    reports = brehmer_clique_check(f)
+    by_hood = {}
+    for rep in reports:
+        by_hood.setdefault(tuple(rep.parameters["neighborhood"]), []).append(rep)
+    # the empty clique, 6 vertices and 12 cross-part edges; 1 + 3 + 3 hoods
+    assert (len(reports), len(by_hood)) == (19, 7)
+    assert len(checks) == len(by_hood)
+    for shared in by_hood.values():
+        assert len({rep.min_eigenvalue for rep in shared}) == 1
+        cliques = [tuple(rep.parameters["clique"]) for rep in shared]
+        assert len(set(cliques)) == len(cliques)
+        assert len({id(rep.parameters) for rep in shared}) == len(shared)
