@@ -7,7 +7,8 @@ so reruns are byte-identical.
 
 Exit codes: 0 all checks passed, 1 at least one failed, 2 nothing
 failed but some check was inconclusive, 3 internal error (an
-unexpected exception, reported as one line on stderr), 4 bad input.
+unexpected exception, reported as one line on stderr), 4 bad input
+or an unreadable input or unwritable output file.
 """
 
 from __future__ import annotations
@@ -449,6 +450,13 @@ def main(argv: list[str] | None = None) -> int:
             if spec.guard < 1:
                 raise ValidationError(f"{GUARD_ENV} must be positive")
         code, doc = run_report(spec, args.suite)
+        text = json.dumps(doc, sort_keys=True, indent=2)
+        print(_human_lines(doc))
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -459,14 +467,6 @@ def main(argv: list[str] | None = None) -> int:
         msg = str(exc).replace("\n", " ")
         print(f"internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
-
-    text = json.dumps(doc, sort_keys=True, indent=2)
-    print(_human_lines(doc))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
     return code
 
 

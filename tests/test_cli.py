@@ -295,6 +295,14 @@ def test_main_internal_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch
     assert err == "internal error: RuntimeError: suite broke on two lines\n"
 
 
+def test_main_unwritable_out_exits_4_with_one_line(tmp_path, capsys):
+    src = write_problem(tmp_path, {"graph": TOY})
+    out = tmp_path / "no-such-dir" / "rep.json"
+    assert main(["graph", "--input", src, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_main_lets_interrupts_through(tmp_path, capsys, monkeypatch):
     import raamkit.cli
 
