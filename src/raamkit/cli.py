@@ -106,7 +106,7 @@ def parse_problem(source: str | dict) -> ProblemSpec:
                 text = fh.read()
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
             raise ParseError(f"problem file is not valid JSON: {exc}") from exc
     else:
         obj = source

@@ -5,17 +5,22 @@ T_j commute whenever ij is an edge; words then evaluate to products
 T_p.  The checks here are the finite-dimensional content of the
 Brehmer-type positivity conditions.  Only cliques have joins, and the
 join of a clique c is the product of its commuting generators, so the
-clique conditions are clique sums
+clique conditions are sums over cliques of signed Grams
 
-    sum over cliques c of x^|c| T_c T_c*,   T_c = prod_{v in c} T_v,
+    G_c = T_c T_c*,   T_c = prod_{v in c} T_v,
 
-built from generator matrices alone: x = -1 over the cliques of a
-clique neighbourhood for the Brehmer checks, x = -r^2 over all
-cliques for the radial defect.  T_c T_c* depends neither on x nor on
-the neighbourhood being summed, so each clique sum forms it once per
-clique for a whole list of coefficients: a grid scan walks the
-cliques once for all of its radii, and the Brehmer checks sum once
-per distinct neighbourhood.  zed is the general alternating sum
+built from generator matrices alone.  One walk forms each Gram once
+per check and feeds both kinds of check.  The radial defect is a
+matrix polynomial in t = r^2 of degree omega, the clique number:
+
+    Delta_r = sum_{k=0..omega} (-t)^k S_k,   S_k = sum_{|c|=k} G_c,
+
+so the walk fills the size table S_0..S_omega once and every radius
+costs omega + 1 scaled adds.  The Brehmer checks need, per clique
+neighbourhood N, Z(N) = sum over cliques c inside N of (-1)^|c| G_c;
+one walk over the cliques in colex order adds each G_c to every
+distinct neighbourhood containing c.  zed is the general alternating
+sum
 
     Z(F) = sum over subsets U of F of (-1)^|U| T_join(U) T_join(U)*
 
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -244,27 +249,42 @@ def zed(
     return acc
 
 
-def _clique_sum(
-    f: GammaFamily, cliques: Sequence[frozenset[int]], xs: Sequence[float]
-) -> list[np.ndarray]:
-    """Sums of x^|c| T_c T_c* over the given cliques, one per x in xs.
+def _clique_grams(
+    f: GammaFamily, cliques: Sequence[frozenset[int]]
+) -> Iterator[tuple[frozenset[int], np.ndarray]]:
+    """(c, T_c T_c*) for each clique c, in the order given.
 
-    The cliques are walked once, in the order given.  T_c is the
-    identity times the generator matrices of c in ascending vertex
-    order; they commute, so this is T of the clique's join.  Its Gram
-    T_c T_c* is formed once and added, scaled, to every accumulator, so
-    each sum sees the same float operations in the same order as a
-    walk for its x alone.
+    T_c is the identity times the generator matrices of c in ascending
+    vertex order; they commute, so this is T of the clique's join.
+    This walk is the only place that forms clique products.
     """
-    accs = [np.zeros((f.dim, f.dim), dtype=np.complex128) for _ in xs]
     for c in cliques:
         t = np.eye(f.dim, dtype=np.complex128)
         for v in sorted(c):
             t = t @ f.matrix(v)
-        g = t @ t.conj().T
-        for acc, x in zip(accs, xs):
-            acc += x ** len(c) * g
-    return accs
+        yield c, t @ t.conj().T
+
+
+def _defects(f: GammaFamily, radii: Sequence[float]) -> Iterator[np.ndarray]:
+    """Delta_r for each r in radii, one at a time.
+
+    One Gram walk over enumerate_cliques adds each G_c into the size
+    table S_|c|; then each Delta_r = sum_{k=0..omega} (-r^2)^k S_k is
+    summed from zeros in ascending k.
+    """
+    cliques = enumerate_cliques(f.graph)
+    sizes = [
+        np.zeros((f.dim, f.dim), dtype=np.complex128)
+        for _ in range(max(len(c) for c in cliques) + 1)
+    ]
+    for c, g in _clique_grams(f, cliques):
+        sizes[len(c)] += g
+    for r in radii:
+        x = -(r * r)
+        delta = np.zeros((f.dim, f.dim), dtype=np.complex128)
+        for k, s in enumerate(sizes):
+            delta += x**k * s
+        yield delta
 
 
 def _neighborhood_zed_reports(
@@ -277,33 +297,34 @@ def _neighborhood_zed_reports(
 
     For each clique W (restricted to scope when given), the vertices
     adjacent to all of W (again within scope) form its neighbourhood
-    N(W), and Z is the clique sum with x = -1 over the cliques inside
-    N(W): the subsets of N(W) without a join contribute nothing.  The
-    cliques are summed in colex order, the order in which zed's subset
-    bitmasks over the sorted generators of N(W) visit them.  Z depends
-    on N(W) alone, so it is summed and checked once per distinct
-    neighbourhood; every W still gets its own report.  Maximal cliques
-    have empty neighbourhoods and their Z is trivially the identity, so
-    they are skipped.
+    N(W), and Z is the sum of (-1)^|c| T_c T_c* over the cliques c
+    inside N(W): the subsets of N(W) without a join contribute
+    nothing.  Z depends on N(W) alone, so it is summed and checked once
+    per distinct neighbourhood; every W still gets its own report.
+    All neighbourhoods are fed from one Gram walk over the cliques of
+    the scope in colex order, the order in which zed's subset bitmasks
+    over sorted generators visit them; restricted to one neighbourhood
+    it is that neighbourhood's colex order, so each Z sees the float
+    operations of its own walk.  Maximal cliques have empty
+    neighbourhoods and their Z is trivially the identity, so they are
+    skipped.
     """
     g = f.graph
     members = scope if scope is not None else frozenset(g.vertices())
-    cliques = enumerate_cliques(g)
-    checked: dict[frozenset[int], CheckReport] = {}
+    cliques = [c for c in enumerate_cliques(g) if c <= members]
+    hoods = [
+        (w, hood) for w in cliques if (hood := common_neighborhood(g, w) & members)
+    ]
+    zs = {hood: np.zeros((f.dim, f.dim), dtype=np.complex128) for _, hood in hoods}
+    colex = sorted(cliques, key=lambda c: sorted(c, reverse=True))
+    for c, gram in _clique_grams(f, colex):
+        term = (-1.0) ** len(c) * gram
+        for hood, z in zs.items():
+            if c <= hood:
+                z += term
+    checked = {hood: psd_check(z, tol, name=name) for hood, z in zs.items()}
     out: list[CheckReport] = []
-    for w in cliques:
-        if not w <= members:
-            continue
-        hood = common_neighborhood(g, w) & members
-        if not hood:
-            continue
-        if hood not in checked:
-            inside = sorted(
-                (c for c in cliques if c <= hood),
-                key=lambda c: sorted(c, reverse=True),
-            )
-            (z,) = _clique_sum(f, inside, [-1.0])
-            checked[hood] = psd_check(z, tol, name=name)
+    for w, hood in hoods:
         rep = replace(checked[hood], parameters=dict(checked[hood].parameters))
         rep.parameters.update(
             clique=sorted(w),
@@ -343,10 +364,12 @@ def delta_operator(f: GammaFamily, r: float) -> np.ndarray:
     """Defect sum over cliques: sum (-r^2)^|c| T_c T_c*.
 
     Only cliques contribute; a non-clique set of generators has no
-    common multiple.  At r = 1 this is Z over the full generator set.
+    common multiple.  Summed by clique size, as sum_k (-r^2)^k S_k with
+    S_k the sum of the k-clique Grams.  At r = 1 this is Z over the
+    full generator set.
     """
     _check_radius(r)
-    (delta,) = _clique_sum(f, enumerate_cliques(f.graph), [-(r * r)])
+    (delta,) = _defects(f, [r])
     return delta
 
 
@@ -360,19 +383,19 @@ def property_p_scan(
 ) -> list[CheckReport]:
     """Defect positivity on a grid of radii, plus a summary report.
 
-    Every radius is checked before any product is formed.  The defects
-    of all radii come from one clique sum, which forms each clique
-    product once for the whole grid; each equals delta_operator at its
-    radius bit for bit.  The summary flags the failing prefix of the
-    ascending grid; the largest failing radius is the empirical lower
-    edge for where the defect turns positive.
+    Every radius is checked before any product is formed.  One Gram
+    walk builds the size table S_0..S_omega for the whole grid, and
+    each radius then evaluates sum_k (-r^2)^k S_k, so each defect
+    equals delta_operator at its radius bit for bit.  The summary
+    flags the failing prefix of the ascending grid; the largest
+    failing radius is the empirical lower edge for where the defect
+    turns positive.
     """
     pts = sorted(float(r) for r in r_grid)
     for r in pts:
         _check_radius(r)
-    deltas = _clique_sum(f, enumerate_cliques(f.graph), [-(r * r) for r in pts])
     reports: list[CheckReport] = []
-    for r, delta in zip(pts, deltas):
+    for r, delta in zip(pts, _defects(f, pts)):
         rep = psd_check(delta, tol, name="property_p")
         rep.parameters["r"] = r
         reports.append(rep)
@@ -419,7 +442,9 @@ def key_estimate_check(
     for k in range(1, c + 1):
         finite = [j for j in level_joins(elems, k) if is_finite(j)]
         rhs += zed(f, finite)
-    residual = opnorm(lhs - rhs)
+    diff = lhs - rhs
+    # overflowed products: the SVD behind opnorm raises on non-finite input
+    residual = opnorm(diff) if np.isfinite(diff).all() else float("inf")
     return CheckReport(
         name="key_estimate",
         passed=residual <= tol,
@@ -456,9 +481,17 @@ def _real_block(raw: object, d: int, what: str) -> np.ndarray:
         and all(isinstance(row, list) and len(row) == d for row in raw)
     ):
         raise DimensionMismatch(f"{what} must be a list of {d} rows of {d} entries")
-    if not all(_finite_real(x) for row in raw for x in row):
-        raise ValidationError(f"{what} entries must be finite numbers")
-    return np.array(raw, dtype=float)
+    msg = f"{what} entries must be finite numbers"
+    # exact types: bool is an int subclass and must be refused
+    if not {type(x) for row in raw for x in row} <= {int, float}:
+        raise ValidationError(msg)
+    try:
+        arr = np.array(raw, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        raise ValidationError(msg) from None
+    if not np.isfinite(arr).all():
+        raise ValidationError(msg)
+    return arr
 
 
 def family_from_json(g: Graph, obj: object) -> GammaFamily:

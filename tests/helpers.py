@@ -167,6 +167,29 @@ def zed_oracle(f: GammaFamily, elems) -> np.ndarray:
     return total
 
 
+def colex_neighbourhood_zed(f: GammaFamily, hood) -> np.ndarray:
+    """Z over the cliques inside hood, by a plain bitmask walk.
+
+    Subsets of the sorted hood are visited in increasing bitmask order,
+    which is colex order; non-cliques are skipped, and each clique c
+    adds (-1)^|c| T_c T_c*, with T_c the identity times the generators
+    of c in ascending vertex order.
+    """
+    verts = sorted(hood)
+    edges = {frozenset(e) for e in f.graph.edges}
+    d = f.dim
+    total = np.zeros((d, d), dtype=np.complex128)
+    for s in range(1 << len(verts)):
+        c = [v for i, v in enumerate(verts) if s >> i & 1]
+        if not all(frozenset(pair) in edges for pair in combinations(c, 2)):
+            continue
+        t = np.eye(d, dtype=np.complex128)
+        for v in c:
+            t = t @ f.generators[v - 1]
+        total += (-1.0) ** len(c) * (t @ t.conj().T)
+    return total
+
+
 def commuting_matrices(rng, d: int, count: int, cond_max: float = 50.0):
     """Exactly-commuting dense complex matrices, moderate conditioning."""
     while True:

@@ -242,6 +242,7 @@ BAD_INPUTS = {
     "ragged-re": _set(["family", "matrices", 1, "re"], [[0.4, 0.0], [0.2]]),
     "string-re": _set(["family", "matrices", 1, "re"], "x"),
     "bool-entry": _set(["family", "matrices", 0, "re", 0, 0], True),
+    "huge-int": _set(["family", "matrices", 0, "re", 0, 0], 10**400),
     "vn-re-string": _set(["vn_terms", 0, "re"], "x"),
     "vn-p-number": _set(["vn_terms", 0, "p"], 1),
     "tol-nan": _set(["options", "tol"], float("nan")),
@@ -260,6 +261,16 @@ def test_main_bad_input_exits_4_with_one_line(case, tmp_path, capsys):
     doc = BAD_INPUTS[case](copy.deepcopy(readme_problem()))
     src = write_problem(tmp_path, doc)
     assert main(["poisson", "--input", src, "--truncation", "1"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_main_int_beyond_digit_limit_exits_4_with_one_line(tmp_path, capsys):
+    # json.loads refuses ints of more than 4300 digits with a ValueError
+    text = json.dumps(readme_problem()).replace('"truncation": 4', '"truncation": 1' + "0" * 5000)
+    src = tmp_path / "problem.json"
+    src.write_text(text)
+    assert main(["poisson", "--input", str(src)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 

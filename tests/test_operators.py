@@ -23,6 +23,7 @@ from raamkit import (
 )
 
 from .helpers import (
+    colex_neighbourhood_zed,
     random_commuting_family,
     random_k221_family,
     random_toy_family,
@@ -210,6 +211,19 @@ def test_key_estimate_random_families(toy_graph, k221_graph, rng):
             assert rep.residual <= 1e-10
 
 
+def test_key_estimate_overflow_fails_instead_of_raising(toy_graph, rng):
+    # products of 1e200-sized entries overflow to inf and nan
+    f = random_toy_family(toy_graph, rng)
+    huge = GammaFamily(
+        graph=toy_graph, dim=f.dim, generators=tuple(1e200 * m for m in f.generators)
+    )
+    gens = [generator(toy_graph, i) for i in toy_graph.vertices()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = key_estimate_check(huge, gens)
+    assert not rep.passed
+    assert rep.residual == float("inf")
+
+
 def test_summability_consequence(toy_graph, rng):
     # families passing the clique condition satisfy
     # sum T_i T_i* <= c I with c the largest joinable generator count
@@ -267,11 +281,11 @@ def test_family_json_roundtrip(toy_graph, rng):
 def clique_sum_fixtures(toy_graph, k221_graph, rng):
     from raamkit import complete_multipartite
 
-    k1111 = complete_multipartite([1, 1, 1, 1])
     return [
         random_toy_family(toy_graph, rng),
         random_k221_family(k221_graph, rng),
-        random_commuting_family(k1111, rng),
+        random_commuting_family(complete_multipartite([1, 1, 1, 1]), rng),
+        random_commuting_family(complete_multipartite([2, 2, 2]), rng),
     ]
 
 
@@ -297,6 +311,31 @@ def test_brehmer_eigenvalues_match_subset_oracle(toy_graph, k221_graph, rng):
             z = zed_oracle(f, gens)
             lam = np.linalg.eigvalsh((z + z.conj().T) / 2)[0]
             assert rep.min_eigenvalue == pytest.approx(lam, abs=1e-12)
+
+
+def test_brehmer_eigenvalues_equal_plain_colex_walk(toy_graph, k221_graph, rng):
+    # every neighbourhood's Z keeps the float order of its own colex walk
+    for f in clique_sum_fixtures(toy_graph, k221_graph, rng):
+        for rep in weak_brehmer_check(f) + brehmer_clique_check(f):
+            z = colex_neighbourhood_zed(f, rep.parameters["neighborhood"])
+            lam = float(np.linalg.eigvalsh((z + z.conj().T) / 2.0)[0])
+            assert rep.min_eigenvalue == lam
+
+
+def test_brehmer_forms_each_clique_gram_once(monkeypatch, rng):
+    from raamkit import complete_multipartite, enumerate_cliques
+
+    f = random_commuting_family(complete_multipartite([2, 2, 2]), rng)
+    calls = []
+    plain = GammaFamily.matrix
+
+    def counted(self, i):
+        calls.append(i)
+        return plain(self, i)
+
+    monkeypatch.setattr(GammaFamily, "matrix", counted)
+    brehmer_clique_check(f)
+    assert len(calls) == sum(len(c) for c in enumerate_cliques(f.graph))
 
 
 def test_clique_sums_need_no_word_algebra(toy_graph, monkeypatch, rng):
@@ -355,7 +394,7 @@ def test_property_p_scan_checks_every_radius_before_work(toy_graph, monkeypatch,
     def refuse(*args, **kwargs):
         raise AssertionError("a clique product was formed before the radii were checked")
 
-    monkeypatch.setattr(raamkit.operators, "_clique_sum", refuse)
+    monkeypatch.setattr(raamkit.operators, "_clique_grams", refuse)
     with pytest.raises(ValidationError) as scanned:
         property_p_scan(f, [0.2, 0.5, bad])
     assert str(scanned.value) == str(direct.value)
